@@ -184,13 +184,17 @@ func (e *Engine) Push(ev trace.Event) {
 // Caller holds e.mu.
 func (e *Engine) drainLocked() {
 	for {
+		// Check before swapping: swapping in the spare on the empty-queue
+		// exit would leave pending and pendSpare sharing one backing array,
+		// and the next drain would read a buffer Push is appending to.
 		e.pendMu.Lock()
 		batch := e.pending
-		e.pending = e.pendSpare[:0]
-		e.pendMu.Unlock()
 		if len(batch) == 0 {
+			e.pendMu.Unlock()
 			return
 		}
+		e.pending = e.pendSpare[:0]
+		e.pendMu.Unlock()
 		// The windower's emit callback (onGroup) mutates ps and the dirty
 		// set; bracket the fold so lock-free stat readers see a
 		// consistent view.

@@ -354,3 +354,90 @@ func TestEngineConcurrentObservers(t *testing.T) {
 		t.Fatalf("concurrent engine != batch:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestEngineDrainRaceNoLostEvents is the regression test for the staging
+// queue's lost-event race: an empty-queue drain used to leave pending and
+// pendSpare sharing one backing array, so the next drain read (and then
+// cleared) a buffer concurrent Pushes were appending to. Pushers work in
+// bursts (the queue has to run empty for the bug to arm, and refill while a
+// drain reads it for the bug to bite) against back-to-back drains; the result
+// must equal an engine fed the same events sequentially, and the two buffers
+// must never end up aliased. Run under -race.
+func TestEngineDrainRaceNoLostEvents(t *testing.T) {
+	const (
+		apps         = 4
+		eventsPerApp = 8000
+	)
+	perApp := make([][]trace.Event, apps)
+	rng := rand.New(rand.NewSource(23))
+	ref := NewEngine(EngineConfig{Threshold: 2})
+	for a := 0; a < apps; a++ {
+		app := fmt.Sprintf("app%d", a)
+		tcur := streamT0
+		for i := 0; i < eventsPerApp; i++ {
+			tcur = tcur.Add(time.Duration(rng.Intn(3)) * time.Second)
+			ev := trace.Event{
+				Time: tcur,
+				Op:   trace.OpWrite,
+				App:  app,
+				Key:  fmt.Sprintf("%s/k%d", app, rng.Intn(10)),
+			}
+			perApp[a] = append(perApp[a], ev)
+			ref.Push(ev)
+		}
+	}
+	ref.Flush()
+	want := ref.Recluster()
+
+	eng := NewEngine(EngineConfig{Threshold: 2})
+	var pushers sync.WaitGroup
+	for a := 0; a < apps; a++ {
+		pushers.Add(1)
+		go func(evs []trace.Event) {
+			defer pushers.Done()
+			for i, ev := range evs {
+				eng.Push(ev)
+				if i%128 == 127 {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}(perApp[a])
+	}
+	stop := make(chan struct{})
+	drainerDone := make(chan struct{})
+	go func() {
+		defer close(drainerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				// A drain with no watermark movement (no event is older than
+				// streamT0): groups close exactly where the sequential feed
+				// closes them.
+				eng.AdvanceTo(streamT0)
+			}
+		}
+	}()
+	pushers.Wait()
+	close(stop)
+	<-drainerDone
+
+	eng.Flush()
+	got := eng.Recluster()
+	if eng.NumGroups() != ref.NumGroups() {
+		t.Fatalf("concurrent engine folded %d groups, sequential feed %d (events lost in the staging queue)",
+			eng.NumGroups(), ref.NumGroups())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent engine != sequential feed:\n got %+v\nwant %+v", got, want)
+	}
+	// The root cause, checked directly so the test does not depend on the
+	// scheduler producing the interleaving: whatever drains ran, the queue
+	// and its spare are two buffers.
+	eng.pendMu.Lock()
+	defer eng.pendMu.Unlock()
+	if cap(eng.pending) > 0 && cap(eng.pendSpare) > 0 && &eng.pending[:1][0] == &eng.pendSpare[:1][0] {
+		t.Fatal("pending and pendSpare share a backing array after a drain")
+	}
+}

@@ -138,9 +138,11 @@ type GroupCommit struct {
 	err         error  // first flush error; sticky
 	closed      bool
 
-	// syncs counts completed fsyncs (observability; tests assert an idle
-	// appender stops syncing).
-	syncs atomic.Uint64
+	// syncs counts completed fsyncs and flushes counts batches written to
+	// the log (observability; tests assert an idle appender does neither
+	// and that concurrent demands coalesce).
+	syncs   atomic.Uint64
+	flushes atomic.Uint64
 
 	// onCommit, when set, is called after each successful flush cycle with
 	// the total number of records committed to the AOF so far (written to
@@ -162,6 +164,10 @@ type GroupCommit struct {
 
 // SyncCount reports how many fsyncs the appender has performed.
 func (gc *GroupCommit) SyncCount() uint64 { return gc.syncs.Load() }
+
+// FlushCount reports how many non-empty batches the appender has written
+// to the log (each one writeBatch call, whatever the fsync policy).
+func (gc *GroupCommit) FlushCount() uint64 { return gc.flushes.Load() }
 
 // setOnCommit installs the post-flush commit callback. It must be called
 // before the appender receives its first record (NewReplLog does, before
@@ -272,6 +278,24 @@ func (gc *GroupCommit) signal() {
 	}
 }
 
+// demand asks the flusher to commit what is pending now instead of at the
+// next timer tick: a writer is waiting on it (the replication log's
+// semi-sync path). It is the same wake-up batch-size pressure uses, so the
+// flush honours the fsync policy — under interval or never it writes and
+// flushes to the OS, no extra fsync. With nothing pending every appended
+// record is already in a started flush cycle (its commit callback is on the
+// way), and the wake channel holds one signal, so concurrent demanders
+// coalesce: one flush in flight, at most one queued behind it. A no-op
+// after Close or a sticky error.
+func (gc *GroupCommit) demand() {
+	gc.mu.Lock()
+	need := len(gc.pending) > 0 && gc.err == nil && !gc.closed
+	gc.mu.Unlock()
+	if need {
+		gc.signal()
+	}
+}
+
 // Sync blocks until every record appended before the call is written and
 // fsynced, regardless of fsync policy.
 func (gc *GroupCommit) Sync() error {
@@ -333,8 +357,8 @@ func (gc *GroupCommit) Close() error {
 }
 
 // run is the flusher goroutine: it wakes on the interval ticker, on
-// batch-size pressure, and on Sync barriers, and performs one flush cycle
-// per wakeup.
+// batch-size pressure, on a waiting writer's demand, and on Sync barriers,
+// and performs one flush cycle per wakeup.
 func (gc *GroupCommit) run() {
 	defer close(gc.done)
 	ticker := time.NewTicker(gc.cfg.FlushInterval)
@@ -374,7 +398,9 @@ func (gc *GroupCommit) flushCycle(policySync bool) {
 
 	var err error
 	if len(batch) > 0 {
-		err = gc.aof.writeBatch(batch, batchRecs)
+		if err = gc.aof.writeBatch(batch, batchRecs); err == nil {
+			gc.flushes.Add(1)
+		}
 	}
 	if err == nil {
 		if doSync {

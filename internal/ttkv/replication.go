@@ -83,6 +83,15 @@ func AppendReplRecord(dst []byte, r ReplRecord) []byte {
 	return dst
 }
 
+// replRecordLen is the length of r's encoding.
+func replRecordLen(r ReplRecord) int {
+	n := 1 + 8 + 8 + 4 + len(r.Key)
+	if !r.Deleted {
+		n += 4 + len(r.Value)
+	}
+	return n
+}
+
 // DecodeReplRecord decodes one record from the front of b, returning the
 // record and how many bytes it consumed. Truncated or malformed bytes are
 // ErrReplCorrupt: the stream framing delivers whole records, so a partial
@@ -165,6 +174,7 @@ type ReplLog struct {
 	gcCount     uint64      // records accepted by gc (== its gen, as its sole feeder)
 	durableSeq  uint64      // newest committed (fanned-out) sequence
 	appendedSeq uint64      // newest minted sequence
+	slab        []byte      // record encodings are carved from its tail (stageLocked)
 	epoch       uint64      // failover fencing term of this primary incarnation
 	subs        map[*ReplSub]struct{}
 }
@@ -258,6 +268,26 @@ func (rl *ReplLog) Sync() error {
 	return nil
 }
 
+// Demand tells the log that a writer is about to wait for seq to reach
+// replicas. Records ship only once committed, and under the interval and
+// never fsync policies nothing but the flush timer commits them; if the
+// durable watermark does not cover seq yet, the appender is nudged to run
+// its flush cycle now (per policy — see GroupCommit.demand), so the wait
+// costs one commit rather than what is left of the flush interval. Writers
+// nobody waits on keep the timer. A no-op with no appender, for a sequence
+// already committed, and after the appender closed or failed.
+func (rl *ReplLog) Demand(seq uint64) {
+	if rl.gc == nil {
+		return
+	}
+	rl.mu.Lock()
+	committed := seq <= rl.durableSeq
+	rl.mu.Unlock()
+	if !committed {
+		rl.gc.demand()
+	}
+}
+
 // append implements aofSink. The store prefers the seq-assigning variant;
 // this exists so a ReplLog is a valid sink wherever one is expected.
 func (rl *ReplLog) append(key, value string, t time.Time, deleted bool) error {
@@ -332,10 +362,22 @@ func (rl *ReplLog) stageLocked(key, value string, t time.Time, deleted, batchOpe
 	rl.gcCount++
 	seq := rl.store.seq.Add(1)
 	rec := ReplRecord{Seq: seq, Key: key, Value: value, Time: t, Deleted: deleted, BatchOpen: batchOpen}
-	rl.window = append(rl.window, replEntry{seq: seq, gcIndex: rl.gcCount, data: AppendReplRecord(nil, rec)})
+	// One allocation per slab, not per record: encodings are immutable once
+	// staged, so records can share a backing array (a slab is collected
+	// when the last outbox drops its last record).
+	if n := replRecordLen(rec); cap(rl.slab)-len(rl.slab) < n {
+		rl.slab = make([]byte, 0, max(n, replSlabBytes))
+	}
+	start := len(rl.slab)
+	rl.slab = AppendReplRecord(rl.slab, rec)
+	rl.window = append(rl.window, replEntry{seq: seq, gcIndex: rl.gcCount, data: rl.slab[start:len(rl.slab):len(rl.slab)]})
 	rl.appendedSeq = seq
 	return seq
 }
+
+// replSlabBytes is the size of the slabs stageLocked carves record
+// encodings from (a larger record gets a slab of its own).
+const replSlabBytes = 64 << 10
 
 // appendLocked forwards one record to the appender, mints its sequence
 // number, and stages its encoding. Caller holds rl.mu.
@@ -403,9 +445,10 @@ const DefaultOutboxBytes = 64 << 20
 
 // ReplSub is one subscriber's bounded outbox of committed records.
 type ReplSub struct {
-	rl   *ReplLog
-	max  int
-	wake chan struct{}
+	rl    *ReplLog
+	max   int
+	wake  chan struct{}
+	timer *time.Timer // Next's timeout, re-armed per call instead of allocated
 
 	mu    sync.Mutex
 	queue [][]byte // encoded records, oldest first
@@ -447,9 +490,14 @@ func (sub *ReplSub) signal() {
 // Next blocks until records are queued, the timeout elapses (nil, nil —
 // the caller's heartbeat turn), or the subscription terminates. Returned
 // slices are shared read-only encodings; the newest delivered sequence
-// number accompanies them for lag accounting.
+// number accompanies them for lag accounting. One consumer at a time.
 func (sub *ReplSub) Next(timeout time.Duration) (data [][]byte, lastSeq uint64, err error) {
-	timer := time.NewTimer(timeout)
+	if sub.timer == nil {
+		sub.timer = time.NewTimer(timeout)
+	} else {
+		sub.timer.Reset(timeout) // no stale tick to drain: Go 1.23+ timers
+	}
+	timer := sub.timer
 	defer timer.Stop()
 	for {
 		sub.mu.Lock()

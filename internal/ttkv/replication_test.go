@@ -346,7 +346,9 @@ func TestApplyReplicatedValidation(t *testing.T) {
 
 // TestApplyReplicatedAtomicVisibility: a replicated batch spanning shards
 // is never readable half-applied — the torn-read guarantee a cluster
-// revert has on the primary survives replication.
+// revert has on the primary survives replication. Readers pin a view at
+// the publication watermark: two independent Gets are not a snapshot (a
+// reader descheduled between them legitimately sees two different batches).
 func TestApplyReplicatedAtomicVisibility(t *testing.T) {
 	s := NewSharded(16)
 	keys := []string{"pair/a", "pair/b"}
@@ -371,8 +373,9 @@ func TestApplyReplicatedAtomicVisibility(t *testing.T) {
 					return
 				default:
 				}
-				a, _ := s.Get(keys[0])
-				b, _ := s.Get(keys[1])
+				v := s.ViewAt(s.CurrentSeq())
+				a, _ := v.Get(keys[0])
+				b, _ := v.Get(keys[1])
 				if a != b {
 					torn.Store(a+"|"+b, true)
 				}

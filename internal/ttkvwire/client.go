@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
 	"time"
 
@@ -108,21 +109,43 @@ func (c *Client) armContext(ctx context.Context) func() {
 }
 
 // transportErr closes the poisoned connection and reports the failure,
-// preferring the context's error when the context caused it.
+// preferring the context's error when the context caused it. armContext
+// makes the context's deadline the connection's, so the net poller's i/o
+// timeout can surface a moment before the context's own timer has made
+// ctx.Err() non-nil: a timeout at or after the deadline is the deadline.
 func (c *Client) transportErr(ctx context.Context, phase string, err error) error {
 	c.conn.Close()
-	if cerr := ctx.Err(); cerr != nil {
+	cerr := ctx.Err()
+	if cerr == nil && errors.Is(err, os.ErrDeadlineExceeded) {
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			cerr = context.DeadlineExceeded
+		}
+	}
+	if cerr != nil {
 		return fmt.Errorf("ttkvwire: %s: %w (%v)", phase, cerr, err)
 	}
 	return fmt.Errorf("ttkvwire: %s: %w", phase, err)
 }
 
-// roundTrip sends one command and reads one response.
-func (c *Client) roundTrip(ctx context.Context, args ...string) (Value, error) {
+// lock takes the connection for one exchange, or fails with the context's
+// error. A context that is already done never wins the connection: select
+// picks at random among ready cases, and the command must not be sent.
+func (c *Client) lock(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case <-c.mu:
+		return nil
 	case <-ctx.Done():
-		return Value{}, ctx.Err()
+		return ctx.Err()
+	}
+}
+
+// roundTrip sends one command and reads one response.
+func (c *Client) roundTrip(ctx context.Context, args ...string) (Value, error) {
+	if err := c.lock(ctx); err != nil {
+		return Value{}, err
 	}
 	defer func() { c.mu <- struct{}{} }()
 	disarm := c.armContext(ctx)
@@ -311,10 +334,8 @@ func (p *Pipeline) FlushContext(ctx context.Context) error {
 	}
 	cmds := p.cmds
 	p.cmds = nil
-	select {
-	case <-p.c.mu:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := p.c.lock(ctx); err != nil {
+		return err
 	}
 	defer func() { p.c.mu <- struct{}{} }()
 	disarm := p.c.armContext(ctx)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -533,5 +534,90 @@ func TestSemiSyncConnOverrideStrengthens(t *testing.T) {
 	werr := cl.Set("/o/sync", "v", time.Now())
 	if !errors.Is(werr, ErrRetryable) {
 		t.Fatalf("overridden write: %v, want errors.Is ErrRetryable", werr)
+	}
+}
+
+// TestSemiSyncAckIndependentOfFlushInterval: a semi-sync write's ack costs
+// one commit (per fsync policy) plus one replica round trip, not what is
+// left of the flush interval — here 10 s, far beyond the test's patience —
+// while a write nobody waits on still leaves the commit to the timer.
+func TestSemiSyncAckIndependentOfFlushInterval(t *testing.T) {
+	store := ttkv.NewSharded(4)
+	aof, err := ttkv.CreateAOF(filepath.Join(t.TempDir(), "primary.aof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := ttkv.NewGroupCommit(aof, ttkv.GroupCommitConfig{
+		FlushInterval: 10 * time.Second,
+		Fsync:         ttkv.FsyncInterval,
+	})
+	t.Cleanup(func() {
+		store.AttachReplLog(nil)
+		gc.Close()
+	})
+	rl := ttkv.NewReplLog(gc)
+	if err := store.AttachReplLog(rl); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startReplPrimary(t, store, rl, nil)
+	srv.SetSemiSync(SemiSyncConfig{Timeout: 5 * time.Second}) // async by default
+	_, rc, _ := startReplicaNode(t, addr, nil)
+	defer rc.Stop()
+
+	async, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer async.Close()
+	waitFor(t, 5*time.Second, "replica feed streaming", func() bool {
+		st, err := async.ReplStatus()
+		return err == nil && len(st.Replicas) == 1 && st.Replicas[0].State == "streaming"
+	})
+	semi, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer semi.Close()
+	if err := semi.SemiSync(1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nobody waits on the async write: it stays uncommitted and unshipped.
+	if err := async.Set("/d/async", "v", time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if durable, appended := rl.DurableSeq(), rl.AppendedSeq(); durable >= appended {
+		t.Fatalf("async write committed off the timer: durable %d, appended %d", durable, appended)
+	}
+
+	start := time.Now()
+	if err := semi.Set("/d/set", "v", time.Now()); err != nil {
+		t.Fatalf("semi-sync SET: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("semi-sync SET acked after %v; the ack waited for the flush timer", elapsed)
+	}
+	start = time.Now()
+	now := time.Now()
+	if err := semi.MSet([]ttkv.Mutation{
+		{Key: "/d/m1", Value: "a", Time: now},
+		{Key: "/d/m2", Value: "b", Time: now},
+		{Key: "/d/m3", Value: "c", Time: now},
+	}); err != nil {
+		t.Fatalf("semi-sync MSET: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("semi-sync MSET acked after %v; the ack waited for the flush timer", elapsed)
+	}
+	if got, want := rc.AppliedSeq(), rl.AppendedSeq(); got != want {
+		t.Fatalf("replica applied seq %d after the acked MSET, want %d", got, want)
+	}
+	// Commit per policy: the demanded flushes wrote and flushed, no fsync.
+	if got := gc.SyncCount(); got != 0 {
+		t.Fatalf("demanded commits fsynced under FsyncInterval: SyncCount = %d", got)
+	}
+	if got := gc.FlushCount(); got != 2 {
+		t.Fatalf("FlushCount = %d after two semi-sync writes, want 2", got)
 	}
 }

@@ -281,9 +281,13 @@ func (s *Server) trySync(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, args
 // streamFeed ships the snapshot range (afterSeq, from] and then the live
 // outbox tail until the feed dies.
 func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, rl *ttkv.ReplLog, cfg ReplicationConfig, sub *ttkv.ReplSub, sess *replSession, afterSeq, from uint64) {
+	// buf is the feed's one frame-assembly buffer, reused by every snapshot
+	// and live-tail frame (it grows to replFrameChunk, or to the largest
+	// single record, and stays there).
+	var buf []byte
 	writeFrames := func(payloads [][]byte) error {
 		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		buf := make([]byte, 0, replFrameChunk)
+		buf = buf[:0]
 		for _, p := range payloads {
 			if len(buf) > 0 && len(buf)+len(p) > replFrameChunk {
 				if err := writeReplData(bw, buf); err != nil {
@@ -316,7 +320,6 @@ func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, rl *ttkv.ReplLog, c
 	// boundary itself is batch-aligned (see ReplLog.appendSeqBatch), so a
 	// revert in flight at resume time is never split across it.
 	const snapSeqWindow = 1 << 20
-	var buf []byte
 	for lo := afterSeq; lo < from; {
 		hi := lo + snapSeqWindow
 		if hi > from || hi < lo { // second test: uint64 wrap safety

@@ -87,6 +87,10 @@ func (s *Server) semiSyncGate(cs *connState) (retry Value, ok bool) {
 	if seq == 0 {
 		seq = s.store.CurrentSeq()
 	}
+	// A replica can only ack what the feed has shipped, and the feed ships
+	// only committed records: have the log commit this write now (per fsync
+	// policy) instead of leaving it to the flush timer.
+	rl.Demand(seq)
 	if s.waitForAcks(seq, k, timeout) {
 		return Value{}, true
 	}
@@ -101,18 +105,15 @@ func (s *Server) waitForAcks(seq uint64, k int, timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		if s.ackedReplicas(seq) >= k {
-			return true
-		}
+		// Capture the wake channel before counting: an ack that lands after
+		// the count closes this channel, so it cannot be missed, and each
+		// wake-up costs one count.
 		s.ackMu.Lock()
 		if s.ackWake == nil {
 			s.ackWake = make(chan struct{})
 		}
 		wake := s.ackWake
 		s.ackMu.Unlock()
-		// Re-count after capturing the wake channel: an ack that landed in
-		// between closed the previous channel, not this one, and would
-		// otherwise be missed until the next ack or the timeout.
 		if s.ackedReplicas(seq) >= k {
 			return true
 		}
