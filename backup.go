@@ -62,9 +62,10 @@ func RestoreBackup(dir string, target BackupTarget, shards int) (*Store, *Backup
 	return backup.Restore(dir, target, shards)
 }
 
-// RestoreBackupToAOF restores at target and writes the result as a
-// fresh, atomically-published AOF at outPath — what "ttkvd restore"
-// runs.
-func RestoreBackupToAOF(dir string, target BackupTarget, outPath string, shards int) (*BackupRestoreInfo, error) {
-	return backup.RestoreToAOF(dir, target, outPath, shards)
+// RestoreBackupToDir restores at target and writes the result into
+// outDir as a fresh generation of sealed segments, committed by one
+// atomic index swap — what "ttkvd restore" runs. Serve it with
+// OpenStore(StoreOptions{AOFDir: outDir}) or ttkvd -aof-dir.
+func RestoreBackupToDir(dir string, target BackupTarget, outDir string, shards int) (*BackupRestoreInfo, error) {
+	return backup.RestoreToDir(dir, target, outDir, shards)
 }

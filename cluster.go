@@ -10,11 +10,9 @@ import (
 )
 
 // This file is the consolidated entry point to the store and cluster
-// APIs: OpenStore replaces the NewStore / LoadStore / AOF / GroupCommit /
-// ReplLog assembly dance with one call, and DialCluster replaces Dial
-// for anything beyond a single fixed node. The older piecewise
-// constructors remain for compatibility; the redundant ones are marked
-// Deprecated below.
+// APIs: OpenStore assembles a store with its segmented log, group commit
+// and replication log in one call, and DialCluster replaces Dial for
+// anything beyond a single fixed node.
 
 // Typed wire errors, re-exported so callers can match cluster redirects
 // with errors.Is / errors.As instead of message substrings.
@@ -147,23 +145,19 @@ type StoreOptions struct {
 	// shards never contend.
 	Shards int
 
-	// AOFPath, when set, backs the store with an append-only file:
-	// existing history is replayed on open (a crash-truncated tail is
-	// repaired) and every write is appended through a group-commit
-	// batcher.
-	AOFPath string
 	// AOFDir, when set, backs the store with a segmented append-only
-	// directory instead of a single file: sealed segments replay in
-	// parallel on open and compaction swaps whole segments. Mutually
-	// exclusive with AOFPath.
+	// log directory: existing history is replayed on open (sealed
+	// segments in parallel, a crash-truncated tail repaired) and every
+	// write is appended through a group-commit batcher.
 	AOFDir string
 	// SegmentBytes is the per-segment size threshold for AOFDir
 	// (default ttkv.DefaultSegmentBytes).
 	SegmentBytes int64
-	// Compact rewrites the AOF as an atomic snapshot after replay.
+	// Compact rewrites the log as a fresh snapshot generation before
+	// opening it.
 	Compact bool
 	// Retain, with Compact, keeps only the newest N versions per key
-	// (0 keeps all).
+	// (0 keeps all; negative is an error).
 	Retain int
 	// Fsync selects the AOF fsync policy (default FsyncInterval) and
 	// FlushInterval the group-commit cadence (default 50ms).
@@ -172,12 +166,12 @@ type StoreOptions struct {
 
 	// Replicate attaches a replication log so the store can feed
 	// replicas (serve it with Server.EnableReplication or run it under a
-	// failover Node). The log wraps the AOF appender when AOFPath is
+	// failover Node). The log wraps the AOF appender when AOFDir is
 	// set. Leave false for a store that will itself be a replica.
 	Replicate bool
 
-	// Observer, when set, receives every mutation — including the AOF
-	// replay — e.g. an *Engine for live clustering.
+	// Observer, when set, receives every mutation — the replayed history
+	// first, in sequence order — e.g. an *Engine for live clustering.
 	Observer StatsObserver
 }
 
@@ -188,8 +182,8 @@ type StoreHandle struct {
 	Store *Store
 	// ReplLog is the attached replication log (nil unless Replicate).
 	ReplLog *ReplLog
-	// GroupCommit is the AOF batch appender (nil without AOFPath or
-	// AOFDir). Close the handle, not this, when done.
+	// GroupCommit is the AOF batch appender (nil without AOFDir). Close
+	// the handle, not this, when done.
 	GroupCommit *GroupCommit
 	// Segments is the segmented appender (nil unless AOFDir). Pass it to
 	// a replication server so replica catch-up reads sealed segments
@@ -206,26 +200,15 @@ func (h *StoreHandle) Close() error {
 	return nil
 }
 
-// OpenStore opens a TTKV store in one call: shard it, replay and attach
-// its append-only file, optionally compact, and optionally attach the
-// replication log — the assembly every daemon and test was previously
-// doing by hand.
+// OpenStore opens a TTKV store in one call: shard it, optionally compact
+// its segmented log, replay and attach the log, and optionally attach
+// the replication log.
 func OpenStore(opts StoreOptions) (*StoreHandle, error) {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = ttkv.DefaultShards
 	}
 	store := ttkv.NewSharded(shards)
-	if opts.AOFPath != "" && opts.AOFDir != "" {
-		return nil, fmt.Errorf("ocasta: AOFPath and AOFDir are mutually exclusive")
-	}
-	if opts.Observer != nil && opts.AOFDir == "" {
-		// Attached before replay so restored history feeds the observer
-		// exactly like fresh writes would. Segmented replay runs segments
-		// in parallel and bypasses observers, so the AOFDir path instead
-		// backfills after replay (below).
-		store.SetStatsObserver(opts.Observer)
-	}
 	h := &StoreHandle{Store: store}
 	if opts.AOFDir != "" {
 		segCfg := ttkv.SegmentedConfig{MaxSegmentBytes: opts.SegmentBytes}
@@ -238,39 +221,20 @@ func OpenStore(opts StoreOptions) (*StoreHandle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ocasta: replaying segment dir: %w", err)
 		}
-		if opts.Observer != nil {
-			store.ObserveHistory(opts.Observer)
-			store.SetStatsObserver(opts.Observer)
-		}
 		h.Segments = sa
 		h.GroupCommit = ttkv.NewGroupCommit(sa, ttkv.GroupCommitConfig{
 			FlushInterval: opts.FlushInterval,
 			Fsync:         opts.Fsync,
 		})
-	} else if opts.AOFPath != "" {
-		aof, err := ttkv.OpenAOFInto(opts.AOFPath, store)
-		if err != nil {
-			return nil, fmt.Errorf("ocasta: replaying AOF: %w", err)
-		}
-		if opts.Compact {
-			// Compaction rewrites the file by rename: drop the open
-			// handle first, reopen the fresh snapshot for appending.
-			if err := aof.Close(); err != nil {
-				return nil, err
-			}
-			if err := store.CompactTo(opts.AOFPath, opts.Retain); err != nil {
-				return nil, fmt.Errorf("ocasta: compacting AOF: %w", err)
-			}
-			if aof, err = ttkv.OpenAOFForAppend(opts.AOFPath); err != nil {
-				return nil, err
-			}
-		}
-		h.GroupCommit = ttkv.NewGroupCommit(aof, ttkv.GroupCommitConfig{
-			FlushInterval: opts.FlushInterval,
-			Fsync:         opts.Fsync,
-		})
 	} else if opts.Compact || opts.Retain > 0 {
-		return nil, fmt.Errorf("ocasta: Compact/Retain require AOFPath or AOFDir")
+		return nil, fmt.Errorf("ocasta: Compact/Retain require AOFDir")
+	}
+	if opts.Observer != nil {
+		// Segment replay runs segments in parallel and bypasses observers:
+		// feed the replayed history through in sequence order, then attach
+		// for live writes.
+		store.ObserveHistory(opts.Observer)
+		store.SetStatsObserver(opts.Observer)
 	}
 	if opts.Replicate {
 		h.ReplLog = ttkv.NewReplLog(h.GroupCommit)

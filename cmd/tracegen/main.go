@@ -1,10 +1,11 @@
 // Command tracegen synthesizes the deployment traces of Table I.
 //
 //	tracegen -machine "Windows 7" -out win7.jsonl
-//	tracegen -machine Linux-2 -format binary -out linux2.trace -aof linux2.aof
+//	tracegen -machine Linux-2 -format binary -out linux2.trace -aof-dir linux2.segs
 //
-// The trace file carries the write/delete event stream; -aof additionally
-// persists the populated TTKV so the repair tool can be pointed at it.
+// The trace file carries the write/delete event stream; -aof-dir
+// additionally persists the populated TTKV as a segmented log, which
+// ttkvd -aof-dir serves and the repair tool can be pointed at.
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"strings"
 
 	"ocasta/internal/trace"
+	"ocasta/internal/ttkv"
 	"ocasta/internal/workload"
 )
 
@@ -38,7 +40,7 @@ func run() int {
 	machine := flag.String("machine", "", "Table I machine name (see -list)")
 	out := flag.String("out", "", "output trace file")
 	format := flag.String("format", "jsonl", "trace format: jsonl or binary")
-	aofPath := flag.String("aof", "", "also write the populated TTKV as an AOF")
+	aofDir := flag.String("aof-dir", "", "also write the populated TTKV as a segmented log in this directory")
 	list := flag.Bool("list", false, "list machine profiles and exit")
 	flag.Parse()
 
@@ -83,14 +85,9 @@ func run() int {
 		return 1
 	}
 
-	if *aofPath != "" {
-		af, err := os.Create(*aofPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			return 1
-		}
-		if err := writeAndClose(af, res.Store.WriteSnapshot); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen: writing AOF:", err)
+	if *aofDir != "" {
+		if err := res.Store.WriteSegmentDir(*aofDir, 0, ttkv.SegmentedConfig{}); err != nil {
+			fmt.Fprintln(os.Stderr, "tracegen: writing segments:", err)
 			return 1
 		}
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Regression for the stickyerr finding that led to writeAndClose: the
-// trace and AOF outputs used to be closed via defer, so a close-time
-// flush failure vanished and tracegen exited 0 with a truncated file.
+// trace output used to be closed via defer, so a close-time flush
+// failure vanished and tracegen exited 0 with a truncated file.
 
 func TestWriteAndCloseReportsCloseError(t *testing.T) {
 	f, err := os.Create(filepath.Join(t.TempDir(), "out"))

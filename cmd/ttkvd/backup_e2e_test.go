@@ -1,14 +1,16 @@
 package main
 
-// End-to-end disaster-recovery drill: run the real ttkvd with an AOF and
-// a backup directory, take a full and an incremental backup over the
-// wire while writing, SIGKILL the daemon, corrupt the live AOF, and
-// prove "ttkvd restore" rebuilds a byte-identical store — at latest, at
-// a sequence number, and at a wall-clock instant — then serves reads
-// from the restored AOF.
+// End-to-end disaster-recovery drill: run the real ttkvd on a segmented
+// log with a backup directory, take a full and an incremental backup over
+// the wire while writing, SIGKILL the daemon, corrupt the live log (a
+// sealed segment and the active tail), and prove "ttkvd restore" rebuilds
+// a byte-identical store in a fresh segment directory — at latest, at a
+// sequence number, and at a wall-clock instant — then serves reads from
+// it.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -30,6 +32,20 @@ func dumpStore(t *testing.T, s *ttkv.Store) []byte {
 	return buf.Bytes()
 }
 
+// loadSegDir replays a segment directory into a fresh store offline.
+func loadSegDir(t *testing.T, dir string) *ttkv.Store {
+	t.Helper()
+	s := ttkv.New()
+	sa, err := ttkv.OpenSegmentedInto(dir, s, ttkv.SegmentedConfig{})
+	if err != nil {
+		t.Fatalf("replaying %s: %v", dir, err)
+	}
+	if err := sa.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // runRestoreCmd invokes the ttkvd restore subcommand and returns its
 // combined output, failing the test on a non-zero exit.
 func runRestoreCmd(t *testing.T, bin string, args ...string) string {
@@ -48,13 +64,15 @@ func TestDaemonBackupRestoreDrill(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	dir := t.TempDir()
-	aof := filepath.Join(dir, "store.aof")
+	segs := filepath.Join(dir, "segments")
 	bdir := filepath.Join(dir, "backups")
 
 	// -fsync always so every acked write is on disk: the SIGKILL below
-	// loses nothing, making the post-corruption ground truth exact.
-	addr, proc, _ := startDaemonKillable(t, bin,
-		"-aof", aof,
+	// loses nothing, making the post-corruption ground truth exact. Small
+	// segments so the log holds sealed segments as well as a tail.
+	addr, proc, reap := startDaemonKillable(t, bin,
+		"-aof-dir", segs,
+		"-segment-bytes", "2048",
 		"-fsync", "always",
 		"-backup-dir", bdir,
 		"-recluster-interval", "0",
@@ -128,40 +146,53 @@ func TestDaemonBackupRestoreDrill(t *testing.T) {
 		atCut[k] = v
 	}
 
-	// Disaster: SIGKILL the daemon, then corrupt the live AOF the way a
-	// bad disk would — flip bytes in the middle and tear off the tail.
+	// Disaster: SIGKILL the daemon, then corrupt the live log the way a
+	// bad disk would — flip bytes in a sealed segment and tear off the
+	// active segment's tail.
 	if err := proc.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(aof)
+	reap() // wait for the killed process to exit
+
+	reference := loadSegDir(t, segs) // pre-corruption ground truth
+	files, err := filepath.Glob(filepath.Join(segs, "seg-*.ock"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := ttkv.LoadAOF(aof) // pre-corruption ground truth
+	if len(files) < 2 {
+		t.Fatalf("%d segment files, want sealed segments plus the active tail", len(files))
+	}
+	sealed, active := files[0], files[len(files)-1] // names sort by base seq
+	raw, err := os.ReadFile(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangled := append([]byte(nil), raw...)
-	for i := len(mangled) / 3; i < len(mangled)/3+64 && i < len(mangled); i++ {
-		mangled[i] ^= 0xA5
+	for i := len(raw) / 3; i < len(raw)/3+64 && i < len(raw); i++ {
+		raw[i] ^= 0xA5
 	}
-	mangled = mangled[:len(mangled)*4/5]
-	if err := os.WriteFile(aof, mangled, 0o644); err != nil {
+	if err := os.WriteFile(sealed, raw, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	st, err := os.Stat(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(active, st.Size()*4/5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ttkv.OpenSegmentedInto(segs, ttkv.New(), ttkv.SegmentedConfig{}); !errors.Is(err, ttkv.ErrSegCorrupt) {
+		t.Fatalf("opening the corrupted log = %v, want ErrSegCorrupt", err)
 	}
 
 	// The drill proper: verify the backup set, restore it, compare dumps.
 	out := runRestoreCmd(t, bin, "-backup-dir", bdir, "-verify-only")
 	t.Logf("verify-only: %s", out)
 
-	restoredAOF := filepath.Join(dir, "restored.aof")
-	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", restoredAOF)
-	restored, err := ttkv.LoadAOF(restoredAOF)
-	if err != nil {
-		t.Fatalf("loading restored AOF: %v", err)
-	}
+	restoredDir := filepath.Join(dir, "restored")
+	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", restoredDir)
+	restored := loadSegDir(t, restoredDir)
 	if !bytes.Equal(dumpStore(t, restored), dumpStore(t, reference)) {
-		t.Fatal("restored dump differs from the pre-corruption AOF state")
+		t.Fatal("restored dump differs from the pre-corruption log state")
 	}
 	if restored.CurrentSeq() != reference.CurrentSeq() {
 		t.Fatalf("restored seq %d, want %d", restored.CurrentSeq(), reference.CurrentSeq())
@@ -169,12 +200,9 @@ func TestDaemonBackupRestoreDrill(t *testing.T) {
 
 	// Sequence-target restore: the full backup's boundary must equal the
 	// reference store's pinned view at that seq.
-	seqAOF := filepath.Join(dir, "at-seq.aof")
-	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", seqAOF, "-at", fmt.Sprint(full.UpTo))
-	atSeq, err := ttkv.LoadAOF(seqAOF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqDir := filepath.Join(dir, "at-seq")
+	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", seqDir, "-at", fmt.Sprint(full.UpTo))
+	atSeq := loadSegDir(t, seqDir)
 	view := reference.ViewAt(full.UpTo)
 	if got, want := atSeq.Keys(), view.Keys(); len(got) != len(want) {
 		t.Fatalf("at-seq restore has %d keys, want %d", len(got), len(want))
@@ -194,12 +222,9 @@ func TestDaemonBackupRestoreDrill(t *testing.T) {
 
 	// Time-target restore: checked against the GetAt answers the live
 	// daemon gave before it died.
-	timeAOF := filepath.Join(dir, "at-time.aof")
-	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", timeAOF, "-at", cut.Format(time.RFC3339Nano))
-	atTime, err := ttkv.LoadAOF(timeAOF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	timeDir := filepath.Join(dir, "at-time")
+	runRestoreCmd(t, bin, "-backup-dir", bdir, "-out", timeDir, "-at", cut.Format(time.RFC3339Nano))
+	atTime := loadSegDir(t, timeDir)
 	for k, want := range atCut {
 		got, err := atTime.GetAt(k, cut)
 		if err != nil {
@@ -212,8 +237,15 @@ func TestDaemonBackupRestoreDrill(t *testing.T) {
 		}
 	}
 
-	// Back in business: a fresh daemon serves reads from the restored AOF.
-	addr2, stop2 := startDaemon(t, bin, "-aof", restoredAOF, "-recluster-interval", "0")
+	// Restoring over an existing log needs -force.
+	cmd := exec.Command(bin, "restore", "-backup-dir", bdir, "-out", restoredDir)
+	var ee *exec.ExitError
+	if out, err := cmd.CombinedOutput(); !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("restore over a non-empty -out: err = %v (out %q), want exit 2", err, out)
+	}
+
+	// Back in business: a fresh daemon serves reads from the restored log.
+	addr2, stop2 := startDaemon(t, bin, "-aof-dir", restoredDir, "-recluster-interval", "0")
 	client2, err := ttkvwire.Dial(addr2)
 	if err != nil {
 		t.Fatal(err)

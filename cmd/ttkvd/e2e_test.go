@@ -288,16 +288,23 @@ func TestDaemonRepairE2E(t *testing.T) {
 	stop()
 }
 
-// TestDaemonFlagValidation covers the new repair flag validation paths.
+// TestDaemonFlagValidation covers the flag validation paths: repair
+// limits, retention, and the removed flat-file -aof flag (now unknown).
 func TestDaemonFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon")
 	}
 	bin := buildDaemon(t)
+	segs := filepath.Join(t.TempDir(), "segments")
 	for _, args := range [][]string{
 		{"-repair-workers", "0"},
 		{"-repair-max-active", "0"},
 		{"-repair-max-jobs", "-1"},
+		{"-retain", "-1"},
+		{"-aof-dir", segs, "-compact", "-retain", "-1"},
+		{"-compact"},
+		{"-aof", "x"},
+		{"import-aof", "-in", "x"},
 	} {
 		cmd := exec.Command(bin, args...)
 		out, err := cmd.CombinedOutput()

@@ -2,24 +2,25 @@
 // store Ocasta's loggers record into (the role Redis played in the paper's
 // deployment).
 //
-//	ttkvd -addr 127.0.0.1:7677 -aof /var/lib/ocasta/store.aof \
+//	ttkvd -addr 127.0.0.1:7677 -aof-dir /var/lib/ocasta/segments \
 //	      -shards 16 -fsync interval -fsync-interval 50ms
 //
-// With -aof, existing history is replayed on startup and every write is
-// appended durably through a group-commit batch writer. -compact rewrites
-// the AOF as an atomic snapshot after replay (optionally trimming each
-// key's history to -retain versions) so replay cost stays bounded across
-// restarts.
-//
-// -aof-dir keeps the same record stream in a segmented log instead of one
-// flat file: sealed, checksummed segments (rolled past -segment-bytes)
-// plus an active tail. Startup replays sealed segments in parallel,
-// replica catch-up is served straight from the covering segment files,
-// and -compact rewrites history as a fresh segment generation committed
-// by an atomic index swap:
+// With -aof-dir, history lives in a segmented log: sealed, checksummed
+// segments (rolled past -segment-bytes) plus an active tail. Startup
+// replays sealed segments in parallel, every write is appended durably
+// through a group-commit batch writer, and replica catch-up is served
+// straight from the covering segment files. -compact rewrites history as
+// a fresh segment generation committed by an atomic index swap
+// (optionally trimming each key's history to -retain versions), so
+// replay cost stays bounded across restarts:
 //
 //	ttkvd -addr 127.0.0.1:7677 -aof-dir /var/lib/ocasta/segments \
 //	      -segment-bytes 67108864 -compact -retain 1000
+//
+// The import-aof subcommand migrates a flat append-only file from an
+// earlier release into a segment directory, offline:
+//
+//	ttkvd import-aof -in /var/lib/ocasta/store.aof -out /var/lib/ocasta/segments
 //
 // The daemon also serves the paper's recovery loop over the wire: REPAIR
 // submits an asynchronous cluster-rollback search (parallel trial workers,
@@ -72,12 +73,12 @@
 // With -backup-dir, the daemon serves the BACKUP and BSTAT commands
 // (-backup-interval adds a schedule: a full backup first, incrementals
 // after, pruned to -backup-keep chains), writing self-verifying backup
-// sets that survive the loss of every AOF. The restore subcommand
+// sets that survive the loss of every log. The restore subcommand
 // materializes a set — optionally at a historical sequence number or
-// timestamp — into a fresh AOF, entirely offline:
+// timestamp — into a fresh segment directory, entirely offline:
 //
-//	ttkvd -addr :7677 -aof store.aof -backup-dir backups -backup-interval 5m
-//	ttkvd restore -backup-dir backups -out store.aof -at 2026-08-07T12:00:00Z
+//	ttkvd -addr :7677 -aof-dir segments -backup-dir backups -backup-interval 5m
+//	ttkvd restore -backup-dir backups -out restored -at 2026-08-07T12:00:00Z
 package main
 
 import (
@@ -100,30 +101,33 @@ import (
 )
 
 func main() {
-	// "ttkvd restore" is offline disaster recovery: it must work with no
-	// daemon running (and typically with the daemon's AOF lost), so it is
-	// a subcommand with its own flags, not a serve-mode option.
-	if len(os.Args) > 1 && os.Args[1] == "restore" {
-		os.Exit(runRestore(os.Args[2:]))
-	}
-	// "ttkvd migrate" drives a slot migration between two live daemons
-	// from the outside (it is restartable at any point), so it too is a
-	// subcommand rather than a serve-mode option.
-	if len(os.Args) > 1 && os.Args[1] == "migrate" {
-		os.Exit(runMigrate(os.Args[2:]))
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "restore":
+			// Offline disaster recovery: it must work with no daemon
+			// running (and typically with the daemon's log lost), so it is
+			// a subcommand with its own flags, not a serve-mode option.
+			os.Exit(runRestore(os.Args[2:]))
+		case "import-aof":
+			// A one-shot offline migration from the flat log format.
+			os.Exit(runImportAOF(os.Args[2:]))
+		case "migrate":
+			// Drives a slot migration between two live daemons from the
+			// outside (it is restartable at any point).
+			os.Exit(runMigrate(os.Args[2:]))
+		}
 	}
 	os.Exit(run())
 }
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:7677", "listen address")
-	aofPath := flag.String("aof", "", "append-only file for durable history (optional)")
-	aofDir := flag.String("aof-dir", "", "segmented append-only log directory for durable history (alternative to -aof: sealed checksummed segments, parallel replay, segment-served replica catch-up)")
+	aofDir := flag.String("aof-dir", "", "segmented append-only log directory for durable history (optional: sealed checksummed segments, parallel replay, segment-served replica catch-up)")
 	segmentBytes := flag.Int64("segment-bytes", ttkv.DefaultSegmentBytes, "with -aof-dir, seal the active segment and roll to a new one past this size")
 	shards := flag.Int("shards", ttkv.DefaultShards, "store shard count (rounded up to a power of two)")
 	fsyncMode := flag.String("fsync", "interval", "AOF fsync policy: always, interval, or never")
 	fsyncEvery := flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit flush/fsync interval")
-	compact := flag.Bool("compact", false, "rewrite the AOF as a snapshot after replay")
+	compact := flag.Bool("compact", false, "with -aof-dir, rewrite the log as a fresh snapshot generation on startup")
 	retain := flag.Int("retain", 0, "with -compact, keep only the newest N versions per key (0 = all)")
 	reclusterEvery := flag.Duration("recluster-interval", time.Second, "live clustering recluster period (0 disables analytics)")
 	window := flag.Duration("window", time.Second, "analytics co-modification window (0 groups only identical timestamps)")
@@ -133,7 +137,7 @@ func run() int {
 	repairWorkers := flag.Int("repair-workers", 8, "trial workers per repair job (1 searches sequentially)")
 	repairActive := flag.Int("repair-max-active", 2, "repair searches running concurrently; extra accepted jobs queue")
 	repairJobs := flag.Int("repair-max-jobs", 64, "repair jobs retained (running+finished); beyond it the oldest finished job is evicted")
-	replicaOf := flag.String("replica-of", "", "run as a read replica of the given primary host:port (rejects writes; incompatible with -aof)")
+	replicaOf := flag.String("replica-of", "", "run as a read replica of the given primary host:port (rejects writes; incompatible with -aof-dir)")
 	replOutbox := flag.Int("repl-outbox", ttkv.DefaultOutboxBytes, "per-replica feed outbox bound in bytes; a replica lagging further is dropped and resyncs")
 	failover := flag.Bool("failover", false, "join an automatic-failover group: lease failure detection, epoch-fenced replica promotion, stale-primary demotion (configure members with -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated addresses of the other failover group members")
@@ -170,12 +174,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ttkvd: -retain requires -compact")
 		return 2
 	}
-	if *compact && *aofPath == "" && *aofDir == "" {
-		fmt.Fprintln(os.Stderr, "ttkvd: -compact requires -aof or -aof-dir")
-		return 2
-	}
-	if *aofPath != "" && *aofDir != "" {
-		fmt.Fprintln(os.Stderr, "ttkvd: -aof and -aof-dir are mutually exclusive")
+	if *compact && *aofDir == "" {
+		fmt.Fprintln(os.Stderr, "ttkvd: -compact requires -aof-dir")
 		return 2
 	}
 	if *segmentBytes <= 0 {
@@ -214,11 +214,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ttkvd: -repl-outbox must be >= 1, got %d\n", *replOutbox)
 		return 2
 	}
-	if *replicaOf != "" && (*aofPath != "" || *aofDir != "") {
+	if *replicaOf != "" && *aofDir != "" {
 		// A replica replays the primary's records verbatim (same sequence
 		// numbers) and resyncs from the primary after a restart; it never
 		// keeps its own log.
-		fmt.Fprintln(os.Stderr, "ttkvd: -replica-of is incompatible with -aof/-aof-dir (replicas resync from the primary)")
+		fmt.Fprintln(os.Stderr, "ttkvd: -replica-of is incompatible with -aof-dir (replicas resync from the primary)")
 		return 2
 	}
 	if *leaseEvery <= 0 {
@@ -298,15 +298,6 @@ func run() int {
 			Horizon:       *horizon,
 			MaxFutureSkew: *maxSkew,
 		})
-		if *aofDir == "" && !clusterMode {
-			// Attached before AOF replay, so restored history feeds the live
-			// clustering exactly like fresh writes would. (Segmented replay
-			// is parallel and bypasses observers; that path backfills with
-			// ObserveHistory after replay instead. In cluster mode the
-			// engine's only feed is the cross-node drainer — which also
-			// covers this node's own history, replayed or live.)
-			store.SetStatsObserver(engine)
-		}
 	}
 	var gc *ttkv.GroupCommit
 	closeAOF := func() {
@@ -341,52 +332,20 @@ func run() int {
 			fmt.Printf("ttkvd: replayed %d keys (%d records, %d sealed segments) from %s\n",
 				store.Len(), st.Records, st.Sealed, *aofDir)
 		}
-		if engine != nil && !clusterMode {
-			// Parallel segment replay bypasses observers; feed the replayed
-			// history through in sequence order, then attach for live writes.
-			// (In cluster mode the drainer feeds the engine instead.)
-			store.ObserveHistory(engine)
-			store.SetStatsObserver(engine)
-		}
 		segs = sa
 		gc = ttkv.NewGroupCommit(sa, ttkv.GroupCommitConfig{
 			FlushInterval: *fsyncEvery,
 			Fsync:         policy,
 		})
 	}
-	if *aofPath != "" {
-		// One pass replays existing history into the store, repairs a
-		// crash-truncated tail, and leaves the file open for appending.
-		aof, err := ttkv.OpenAOFInto(*aofPath, store)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttkvd: replaying AOF:", err)
-			return 1
-		}
-		if store.Len() > 0 {
-			fmt.Printf("ttkvd: replayed %d keys from %s\n", store.Len(), *aofPath)
-		}
-		if *compact {
-			// Compaction rewrites the file by rename, so the open handle
-			// must be dropped first and the snapshot (known clean, just
-			// written) reopened for appending.
-			if err := aof.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "ttkvd:", err)
-				return 1
-			}
-			if err := store.CompactTo(*aofPath, *retain); err != nil {
-				fmt.Fprintln(os.Stderr, "ttkvd: compacting AOF:", err)
-				return 1
-			}
-			fmt.Printf("ttkvd: compacted %s (retain=%d)\n", *aofPath, *retain)
-			if aof, err = ttkv.OpenAOFForAppend(*aofPath); err != nil {
-				fmt.Fprintln(os.Stderr, "ttkvd:", err)
-				return 1
-			}
-		}
-		gc = ttkv.NewGroupCommit(aof, ttkv.GroupCommitConfig{
-			FlushInterval: *fsyncEvery,
-			Fsync:         policy,
-		})
+	if engine != nil && !clusterMode {
+		// Parallel segment replay bypasses observers; feed the replayed
+		// history through in sequence order, then attach for live writes.
+		// (In cluster mode the engine's only feed is the cross-node
+		// drainer — which also covers this node's own history, replayed
+		// or live.)
+		store.ObserveHistory(engine)
+		store.SetStatsObserver(engine)
 	}
 
 	srv := ttkvwire.NewServer(store)
@@ -479,7 +438,7 @@ func run() int {
 		}
 	case *replicaOf == "":
 		// Every non-replica ttkvd can feed replicas: the replication log
-		// wraps the group-commit appender (nil without -aof, in which case
+		// wraps the group-commit appender (nil without -aof-dir, in which case
 		// records are shippable the instant they apply) and becomes the
 		// store's sink and sequence minter.
 		rl := ttkv.NewReplLog(gc)
@@ -510,7 +469,7 @@ func run() int {
 			// (Drainer-fed engines track incarnations themselves.)
 			rcfg.OnReset = engine.Reset
 		}
-		if replica, err = ttkvwire.StartReplica(rcfg); err != nil {
+		if replica, err = ttkvwire.NewReplicaClient(rcfg); err != nil {
 			fmt.Fprintln(os.Stderr, "ttkvd: starting replication:", err)
 			ln.Close()
 			closeAOF()

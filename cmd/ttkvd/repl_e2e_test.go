@@ -237,7 +237,7 @@ func TestDaemonReplFlagValidation(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	for _, args := range [][]string{
-		{"-replica-of", "127.0.0.1:1", "-aof", "/tmp/x.aof"},
+		{"-replica-of", "127.0.0.1:1", "-aof-dir", "segments"},
 		{"-repl-outbox", "0"},
 	} {
 		cmd := exec.Command(bin, args...)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -11,23 +12,24 @@ import (
 )
 
 // runRestore implements "ttkvd restore": offline point-in-time recovery
-// from a backup directory into a fresh AOF, plus -verify-only for
-// restore drills. It is a separate mode rather than a daemon flag
-// because disaster recovery must not depend on a healthy daemon — it
-// reads only the backup set and writes only the new AOF.
+// from a backup directory into a fresh segment directory (serve it with
+// -aof-dir), plus -verify-only for restore drills. It is a separate mode
+// rather than a daemon flag because disaster recovery must not depend on
+// a healthy daemon — it reads only the backup set and writes only the
+// new segments.
 //
-//	ttkvd restore -backup-dir /var/backups/ocasta -out /var/lib/ocasta/store.aof
+//	ttkvd restore -backup-dir /var/backups/ocasta -out /var/lib/ocasta/segments
 //	ttkvd restore -backup-dir ... -out ... -at 2026-08-07T12:00:00Z
 //	ttkvd restore -backup-dir ... -out ... -at 123456
 //	ttkvd restore -backup-dir ... -verify-only
 func runRestore(argv []string) int {
 	fs := flag.NewFlagSet("ttkvd restore", flag.ExitOnError)
 	dir := fs.String("backup-dir", "", "backup directory to restore from (required)")
-	out := fs.String("out", "", "path for the restored AOF (required unless -verify-only)")
+	out := fs.String("out", "", "segment directory for the restored log (required unless -verify-only)")
 	at := fs.String("at", "", "restore point: a store sequence number or an RFC 3339 time (default: everything the newest backup covers)")
 	shards := fs.Int("shards", ttkv.DefaultShards, "shard count of the staging store the chain is replayed into")
 	verifyOnly := fs.Bool("verify-only", false, "verify the backup set (checksums, ranges, chains) and exit without restoring")
-	force := fs.Bool("force", false, "overwrite an existing -out file")
+	force := fs.Bool("force", false, "supersede an existing log in a non-empty -out directory")
 	fs.Parse(argv) //nolint:errcheck — ExitOnError
 
 	if *dir == "" {
@@ -41,11 +43,9 @@ func runRestore(argv []string) int {
 		fmt.Fprintln(os.Stderr, "ttkvd restore: -out is required (or pass -verify-only)")
 		return 2
 	}
-	if !*force {
-		if _, err := os.Stat(*out); err == nil {
-			fmt.Fprintf(os.Stderr, "ttkvd restore: %s exists; pass -force to overwrite\n", *out)
-			return 2
-		}
+	if !*force && inUse(*out) {
+		fmt.Fprintf(os.Stderr, "ttkvd restore: %s exists and is not empty; pass -force to overwrite\n", *out)
+		return 2
 	}
 	target, err := backup.ParseTarget(*at)
 	if err != nil {
@@ -54,7 +54,7 @@ func runRestore(argv []string) int {
 	}
 
 	start := time.Now()
-	info, err := backup.RestoreToAOF(*dir, target, *out, *shards)
+	info, err := backup.RestoreToDir(*dir, target, *out, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttkvd restore:", err)
 		return 1
@@ -90,4 +90,56 @@ func runVerify(dir string) int {
 	}
 	fmt.Println("ttkvd restore: verification OK")
 	return 0
+}
+
+// runImportAOF implements "ttkvd import-aof": a one-shot offline
+// migration of a flat append-only file (the OCKV record stream earlier
+// releases logged to, and WriteSnapshot still emits) into a segment
+// directory a daemon then serves with -aof-dir. Records replay in file
+// order, so the segments carry the histories and sequence numbers the
+// flat file's own replay produced.
+//
+//	ttkvd import-aof -in /var/lib/ocasta/store.aof -out /var/lib/ocasta/segments
+func runImportAOF(argv []string) int {
+	fs := flag.NewFlagSet("ttkvd import-aof", flag.ExitOnError)
+	in := fs.String("in", "", "flat append-only file to import (required)")
+	out := fs.String("out", "", "segment directory to write (required; must be absent or empty)")
+	fs.Parse(argv) //nolint:errcheck — ExitOnError
+
+	if *in == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "ttkvd import-aof: -in and -out are required")
+		return 2
+	}
+	if inUse(*out) {
+		fmt.Fprintf(os.Stderr, "ttkvd import-aof: %s exists and is not empty\n", *out)
+		return 2
+	}
+	f, err := os.Open(*in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ttkvd import-aof:", err)
+		return 1
+	}
+	//ocasta:allow stickyerr file opened read-only; no buffered writes to lose
+	defer f.Close()
+	store := ttkv.New()
+	if err := ttkv.ReadAOFInto(f, store); err != nil {
+		fmt.Fprintf(os.Stderr, "ttkvd import-aof: reading %s: %v\n", *in, err)
+		return 1
+	}
+	if err := store.WriteSegmentDir(*out, 0, ttkv.SegmentedConfig{}); err != nil {
+		fmt.Fprintln(os.Stderr, "ttkvd import-aof:", err)
+		return 1
+	}
+	fmt.Printf("ttkvd import-aof: %d keys, %d records from %s -> %s\n", store.Len(), store.CurrentSeq(), *in, *out)
+	return 0
+}
+
+// inUse reports whether path exists as anything but an empty directory:
+// the offline writers refuse to replace what is there by default.
+func inUse(path string) bool {
+	ents, err := os.ReadDir(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false
+	}
+	return err != nil || len(ents) > 0
 }

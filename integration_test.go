@@ -169,35 +169,37 @@ func TestRemoteRepairOverFacade(t *testing.T) {
 }
 
 // TestAOFSurvivesRestart checks the durability loop the daemon relies on:
-// record, crash, replay, keep recording, repair from the replayed history.
+// record, restart, replay the segmented log, keep recording, repair from
+// the replayed history.
 func TestAOFSurvivesRestart(t *testing.T) {
 	base := time.Date(2013, 6, 1, 9, 0, 0, 0, time.UTC)
 	dir := t.TempDir()
-	path := dir + "/store.aof"
-
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore()
-	store.AttachAOF(aof)
 	key := "/apps/eog/print/enable_printing"
-	if err := store.Set(key, "b:true", base); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Set(key, "b:false", base.Add(24*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// "Restart": replay and repair from the replayed history.
-	replayed, err := LoadStore(path)
+	h, err := OpenStore(StoreOptions{AOFDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool := NewRepairTool(replayed, AppModelByName("eog"))
+	if err := h.Store.Set(key, "b:true", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Restart": replay, keep recording, and repair from the history.
+	h, err = OpenStore(StoreOptions{AOFDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close() //nolint:errcheck
+	if err := h.Store.Set(key, "b:false", base.Add(24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if hist, err := h.Store.History(key); err != nil || len(hist) != 2 {
+		t.Fatalf("history after restart = %d versions, %v; want 2", len(hist), err)
+	}
+	tool := NewRepairTool(h.Store, AppModelByName("eog"))
 	res, err := tool.Search(RepairOptions{
 		Trial:  []string{"launch", "print"},
 		Oracle: MarkerOracle("[x] print-dialog", "[ ] print-dialog"),

@@ -274,6 +274,9 @@ func TestRestoreAtTimeMatchesGetAt(t *testing.T) {
 	}
 }
 
+// TestRestoreToAOFRoundTrip: RestoreToDir writes the restored store as a
+// segment directory that replays to a byte-identical dump and identical
+// sequence numbers.
 func TestRestoreToAOFRoundTrip(t *testing.T) {
 	store := ttkv.New()
 	m := newManager(t, store, Options{})
@@ -281,16 +284,20 @@ func TestRestoreToAOFRoundTrip(t *testing.T) {
 	if _, err := m.Full(); err != nil {
 		t.Fatalf("Full: %v", err)
 	}
-	out := filepath.Join(t.TempDir(), "restored.aof")
-	if _, err := RestoreToAOF(m.Dir(), Target{}, out, 0); err != nil {
-		t.Fatalf("RestoreToAOF: %v", err)
+	out := filepath.Join(t.TempDir(), "restored")
+	if _, err := RestoreToDir(m.Dir(), Target{}, out, 0); err != nil {
+		t.Fatalf("RestoreToDir: %v", err)
 	}
-	reloaded, err := ttkv.LoadAOF(out)
+	reloaded := ttkv.New()
+	sa, err := ttkv.OpenSegmentedInto(out, reloaded, ttkv.SegmentedConfig{})
 	if err != nil {
-		t.Fatalf("LoadAOF: %v", err)
+		t.Fatalf("OpenSegmentedInto: %v", err)
+	}
+	if err := sa.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(dump(t, reloaded), dump(t, store)) {
-		t.Fatal("AOF round trip dump differs from original")
+		t.Fatal("segment round trip dump differs from original")
 	}
 	if reloaded.CurrentSeq() != store.CurrentSeq() {
 		t.Fatalf("reloaded seq %d, want %d", reloaded.CurrentSeq(), store.CurrentSeq())

@@ -243,7 +243,7 @@ func buildSegments(recs []ttkv.ReplRecord, man *Manifest, maxBytes int64) ([]seg
 }
 
 // writeFileAtomic writes name under dir with the temp-file + fsync +
-// rename discipline (as CompactTo does for AOF snapshots): readers and
+// rename discipline (as the segmented log commits its index): readers and
 // crash recovery only ever see absent, in-progress ".tmp", or complete.
 func writeFileAtomic(dir, name string, data []byte) error {
 	tmp := filepath.Join(dir, name+tmpExt)

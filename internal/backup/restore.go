@@ -159,18 +159,19 @@ func Restore(dir string, target Target, shards int) (*ttkv.Store, *RestoreInfo, 
 	return store, info, nil
 }
 
-// RestoreToAOF restores at target and writes the result as a fresh,
-// atomically-published AOF at outPath — the file a daemon then serves
-// from. Replaying that AOF re-mints the same sequence numbers the
-// backup recorded (sequences are dense on a logging primary), so the
-// round trip through cold storage is exact.
-func RestoreToAOF(dir string, target Target, outPath string, shards int) (*RestoreInfo, error) {
+// RestoreToDir restores at target and writes the result into outDir as
+// a fresh generation of sealed segments — the directory a daemon then
+// serves with -aof-dir (an existing log there is superseded). Segment
+// replay re-derives the sequence numbers the backup recorded (they are
+// dense on a logging primary), so the round trip through cold storage is
+// exact.
+func RestoreToDir(dir string, target Target, outDir string, shards int) (*RestoreInfo, error) {
 	store, info, err := Restore(dir, target, shards)
 	if err != nil {
 		return nil, err
 	}
-	if err := store.CompactTo(outPath, 0); err != nil {
-		return nil, fmt.Errorf("backup: writing restored AOF: %w", err)
+	if err := store.WriteSegmentDir(outDir, 0, ttkv.SegmentedConfig{}); err != nil {
+		return nil, fmt.Errorf("backup: writing restored segments: %w", err)
 	}
 	return info, nil
 }

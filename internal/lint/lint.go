@@ -241,7 +241,6 @@ func NewAnnotations() *Annotations {
 			"os.File":                           true,
 			"bufio.Writer":                      true,
 			"ocasta/internal/ttkv.GroupCommit":  true,
-			"ocasta/internal/ttkv.AOF":          true,
 			"ocasta/internal/ttkv.ReplLog":      true,
 			"ocasta/internal/ttkv.SegmentedAOF": true,
 		},

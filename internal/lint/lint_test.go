@@ -145,7 +145,6 @@ func TestBuiltinSeeds(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"ocasta/internal/ttkv.AOF",
 		"ocasta/internal/ttkv.SegmentedAOF",
 		"ocasta/internal/ttkv.GroupCommit",
 	} {

@@ -1,7 +1,7 @@
 // Package stickyerr enforces that durability verdicts are never dropped:
 // an error returned by a method of a type annotated //ocasta:durable
-// (GroupCommit, AOF, ReplLog, os.File, bufio.Writer — the types whose
-// Close/Sync/Flush is where buffered writes meet the disk) must be
+// (GroupCommit, SegmentedAOF, ReplLog, os.File, bufio.Writer — the types
+// whose Close/Sync/Flush is where buffered writes meet the disk) must be
 // checked. Discarding one is allowed only explicitly — `_ = f.Close()`
 // with an explanatory comment on the same or preceding line — and
 // deferred or goroutine-spawned calls that drop the error are flagged
@@ -21,7 +21,7 @@ import (
 // Analyzer is the stickyerr rule.
 var Analyzer = &lint.Analyzer{
 	Name: "stickyerr",
-	Doc: "error results of methods on //ocasta:durable types (AOF, " +
+	Doc: "error results of methods on //ocasta:durable types (SegmentedAOF, " +
 		"GroupCommit, ReplLog, os.File, bufio.Writer) must be checked, or " +
 		"discarded explicitly with `_ =` plus a comment",
 	SkipTests: true,
@@ -117,7 +117,7 @@ func returnsError(fn *types.Func) bool {
 }
 
 // shortName trims the package path from an annotation key:
-// "ocasta/internal/ttkv.AOF" -> "ttkv.AOF", "os.File" -> "os.File".
+// "ocasta/internal/ttkv.ReplLog" -> "ttkv.ReplLog", "os.File" -> "os.File".
 func shortName(key string) string {
 	slash := -1
 	for i := len(key) - 1; i >= 0; i-- {

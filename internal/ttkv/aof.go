@@ -7,10 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -19,11 +16,6 @@ var (
 	ErrAOFMagic   = errors.New("ttkv: bad AOF magic")
 	ErrAOFVersion = errors.New("ttkv: unsupported AOF version")
 	ErrAOFCorrupt = errors.New("ttkv: corrupt AOF record")
-	ErrAOFExists  = errors.New("ttkv: AOF already exists")
-	// ErrAOFAttached is returned by CompactTo while a persistence sink is
-	// attached: renaming a snapshot over the live AOF would divert every
-	// subsequent append to the unlinked old inode, silently losing it.
-	ErrAOFAttached = errors.New("ttkv: store has an attached AOF; detach before compacting")
 )
 
 const (
@@ -49,8 +41,8 @@ type aofSink interface {
 }
 
 // appendRecord encodes one mutation record onto dst and returns the
-// extended slice. This is the single encoder shared by the synchronous AOF
-// writer, the group-commit appender, and snapshots.
+// extended slice. This is the single encoder shared by the group-commit
+// appender, the segment snapshot writer, and WriteSnapshot.
 func appendRecord(dst []byte, key, value string, t time.Time, deleted bool) []byte {
 	op := opSet
 	if deleted {
@@ -77,172 +69,6 @@ func aofHeader() []byte {
 	return binary.LittleEndian.AppendUint16(h, uint16(aofVersion))
 }
 
-// AOF is an append-only file recording every Set and Delete. Replaying an
-// AOF reconstructs the store's exact history, because the history *is* the
-// log. A truncated tail (e.g. after a crash mid-append) is tolerated on
-// load: complete records up to the damage are recovered.
-//
-// An AOF attached directly to a Store (AttachAOF) writes synchronously
-// under the writer's shard lock; wrap it in a GroupCommit to batch disk
-// I/O off the hot path.
-//
-//ocasta:durable
-type AOF struct {
-	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
-	buf []byte // scratch encode buffer, guarded by mu
-}
-
-// CreateAOF creates a new append-only file at path and writes the header.
-// It refuses to clobber an existing file (ErrAOFExists); use
-// OpenOrCreateAOF to append to existing history.
-func CreateAOF(path string) (*AOF, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("%w: %s", ErrAOFExists, path)
-		}
-		return nil, fmt.Errorf("ttkv: creating AOF: %w", err)
-	}
-	a := &AOF{f: f, w: bufio.NewWriter(f)}
-	if _, err := a.w.Write(aofHeader()); err != nil {
-		_ = f.Close() // returning the write error; close is cleanup
-		return nil, err
-	}
-	return a, nil
-}
-
-// OpenAOFForAppend opens an existing AOF for appending new records. It
-// assumes the file was closed cleanly; prefer OpenOrCreateAOF, which also
-// repairs a crash-truncated tail before appending.
-func OpenAOFForAppend(path string) (*AOF, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ttkv: opening AOF: %w", err)
-	}
-	return &AOF{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// OpenOrCreateAOF opens path for appending, creating it (with a header) if
-// it does not exist or is empty. An existing non-empty file must carry a
-// valid header; its records are preserved and new appends extend them. A
-// partial record at the tail (crash mid-append) is truncated away first —
-// otherwise new records written after the damage would be unreachable to
-// replay, which stops at the first incomplete record.
-func OpenOrCreateAOF(path string) (*AOF, error) {
-	return openAOFInto(path, nil)
-}
-
-// OpenAOFInto is OpenOrCreateAOF fused with replay: existing records are
-// applied to s during the same pass that locates (and repairs) the file
-// tail, so a daemon's startup parses the log once instead of twice.
-func OpenAOFInto(path string, s *Store) (*AOF, error) {
-	return openAOFInto(path, s)
-}
-
-func openAOFInto(path string, s *Store) (*AOF, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ttkv: opening AOF: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // returning the stat error; close is cleanup
-		return nil, fmt.Errorf("ttkv: stat AOF: %w", err)
-	}
-	a := &AOF{f: f, w: bufio.NewWriter(f)}
-	if st.Size() == 0 {
-		if _, err := a.w.Write(aofHeader()); err != nil {
-			_ = f.Close() // returning the write error; close is cleanup
-			return nil, err
-		}
-		return a, nil
-	}
-	// One pass over the existing records (header included): replay into s
-	// when given, and find the end of the last complete record.
-	valid, err := readAOF(f, s)
-	if err != nil {
-		_ = f.Close() // returning the replay error; close is cleanup
-		return nil, err
-	}
-	if valid < st.Size() {
-		if err := f.Truncate(valid); err != nil {
-			_ = f.Close() // returning the truncate error; close is cleanup
-			return nil, fmt.Errorf("ttkv: truncating damaged AOF tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		_ = f.Close() // returning the seek error; close is cleanup
-		return nil, fmt.Errorf("ttkv: seeking AOF end: %w", err)
-	}
-	return a, nil
-}
-
-func (a *AOF) append(key, value string, t time.Time, deleted bool) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.buf = appendRecord(a.buf[:0], key, value, t, deleted)
-	_, err := a.w.Write(a.buf)
-	return err
-}
-
-// writeBatch appends pre-encoded records (implementing LogWriter). Used
-// by the group-commit appender, which encodes on the writers' side and
-// flushes here. A flat file has no per-batch metadata, so the record
-// count is unused; the segmented log uses it for its sequence index.
-func (a *AOF) writeBatch(encoded []byte, records int) error {
-	_ = records
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, err := a.w.Write(encoded)
-	return err
-}
-
-// flushOS pushes buffered records to the OS without fsyncing.
-func (a *AOF) flushOS() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.w.Flush()
-}
-
-// Sync flushes buffered records and fsyncs the file.
-func (a *AOF) Sync() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.syncLocked()
-}
-
-func (a *AOF) syncLocked() error {
-	if err := a.w.Flush(); err != nil {
-		return err
-	}
-	return a.f.Sync()
-}
-
-// Close flushes and closes the file.
-func (a *AOF) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.w.Flush(); err != nil {
-		_ = a.f.Close() // the flush error is the durability verdict; close is cleanup
-		return err
-	}
-	return a.f.Close()
-}
-
-// AttachAOF makes the store append every subsequent Set/Delete to a,
-// synchronously under the writer's shard lock. Pass nil to detach. For
-// high write rates prefer AttachGroupCommit, which moves disk I/O onto a
-// background batch writer.
-func (s *Store) AttachAOF(a *AOF) {
-	if a == nil {
-		s.sink.Store(nil)
-		return
-	}
-	s.sink.Store(&sinkBox{sink: a})
-}
-
 // AttachGroupCommit makes the store enqueue every subsequent Set/Delete to
 // g's batch writer. Pass nil to detach.
 func (s *Store) AttachGroupCommit(g *GroupCommit) {
@@ -253,8 +79,8 @@ func (s *Store) AttachGroupCommit(g *GroupCommit) {
 	s.sink.Store(&sinkBox{sink: g})
 }
 
-// SyncAOF flushes the attached persistence sink (direct AOF or group
-// commit), if any, through to fsync.
+// SyncAOF flushes the attached persistence sink (group commit or
+// replication log), if any, through to fsync.
 func (s *Store) SyncAOF() error {
 	box := s.sink.Load()
 	if box == nil {
@@ -263,46 +89,33 @@ func (s *Store) SyncAOF() error {
 	return box.sink.Sync()
 }
 
-// LoadAOF replays an append-only file into a fresh store with the default
-// shard count. A truncated final record is discarded silently (crash
-// tolerance); any other corruption is an error.
-func LoadAOF(path string) (*Store, error) {
-	s := New()
-	if err := LoadAOFInto(path, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// LoadAOFInto replays an append-only file into s (typically a fresh store
-// constructed with a specific shard count).
-func LoadAOFInto(path string, s *Store) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ttkv: opening AOF: %w", err)
-	}
-	//ocasta:allow stickyerr file opened read-only; no buffered writes to lose
-	defer f.Close()
-	return ReadAOFInto(f, s)
-}
-
-// ReadAOF replays AOF content from r into a fresh store.
-func ReadAOF(r io.Reader) (*Store, error) {
-	s := New()
-	if err := ReadAOFInto(r, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ReadAOFInto replays AOF content from r into s.
+// ReadAOFInto replays an OCKV record stream — a WriteSnapshot dump, or a
+// flat append-only file being migrated by ttkvd import-aof — from r into
+// s through the normal write path, so sequence numbers are minted in
+// stream order. A truncated final record is tolerated; any other
+// corruption is an error.
 func ReadAOFInto(r io.Reader, s *Store) error {
-	_, err := readAOF(r, s)
+	hdr := make([]byte, aofHeaderLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return fmt.Errorf("%w: %v", ErrAOFMagic, err)
+	}
+	if string(hdr[:len(aofMagic)]) != aofMagic {
+		return ErrAOFMagic
+	}
+	if ver := binary.LittleEndian.Uint16(hdr[len(aofMagic):]); ver != aofVersion {
+		return fmt.Errorf("%w: %d", ErrAOFVersion, ver)
+	}
+	_, _, _, err := scanRecords(r, func(key, value string, t time.Time, deleted bool) error {
+		if deleted {
+			return s.Delete(key, t)
+		}
+		return s.Set(key, value, t)
+	})
 	return err
 }
 
 // countingReader tracks how many bytes have been pulled from the
-// underlying reader, so readAOF can report record boundaries.
+// underlying reader, so scanRecords can report record boundaries.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -314,36 +127,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readAOF is the flat-file AOF loop: header check plus the shared record
-// scanner. It parses records from r and applies them to s (pass nil to
-// parse without building a store), and returns the byte offset just past
-// the last complete record — the truncation point OpenOrCreateAOF repairs
-// a damaged tail to. A truncated final record is tolerated; any other
-// corruption is an error.
-func readAOF(r io.Reader, s *Store) (int64, error) {
-	hdr := make([]byte, aofHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrAOFMagic, err)
-	}
-	if string(hdr[:len(aofMagic)]) != aofMagic {
-		return 0, ErrAOFMagic
-	}
-	if ver := binary.LittleEndian.Uint16(hdr[len(aofMagic):]); ver != aofVersion {
-		return 0, fmt.Errorf("%w: %d", ErrAOFVersion, ver)
-	}
-	_, valid, _, err := scanRecords(r, func(key, value string, t time.Time, deleted bool) error {
-		if s == nil {
-			return nil
-		}
-		if deleted {
-			return s.Delete(key, t)
-		}
-		return s.Set(key, value, t)
-	})
-	return int64(aofHeaderLen) + valid, err
-}
-
-// scanRecords is the single record-stream loop shared by flat-AOF replay,
+// scanRecords is the single record-stream loop shared by ReadAOFInto,
 // segment replay, tail repair, and segment range reads. It parses
 // AOF-encoded records from r (positioned just past any header), calls fn
 // for each complete record, and returns the record count, the byte offset
@@ -475,89 +259,23 @@ type snapEntry struct {
 	v   Version
 }
 
-// WriteSnapshot serializes the store's full state (all histories) to w in
-// AOF format, which doubles as the snapshot format: replaying it rebuilds
-// identical histories. Versions are emitted in global sequence order so
-// equal-timestamp orderings survive the round trip. Under concurrent
-// writes the snapshot is a globally consistent cut pinned at the
-// publication watermark.
+// WriteSnapshot serializes the store's full state (all histories) to w
+// as an OCKV record stream: the canonical byte dump the equivalence
+// suites compare stores by, and what ReadAOFInto reads back. Versions are
+// emitted in global sequence order so equal-timestamp orderings survive
+// the round trip. Under concurrent writes the snapshot is a globally
+// consistent cut pinned at the publication watermark.
 func (s *Store) WriteSnapshot(w io.Writer) error {
-	return s.writeSnapshot(w, 0)
-}
-
-func (s *Store) writeSnapshot(w io.Writer, maxVersionsPerKey int) error {
-	entries := s.snapshotEntries(maxVersionsPerKey)
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(aofHeader()); err != nil {
 		return err
 	}
 	var buf []byte
-	for _, e := range entries {
+	for _, e := range s.snapshotEntries(0) {
 		buf = appendRecord(buf[:0], e.key, e.v.Value, e.v.Time, e.v.Deleted)
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// CompactTo writes an atomic snapshot of the store to path: the snapshot
-// lands in a temp file, is fsynced, and replaces path by rename, so a
-// crash mid-compaction never damages the existing AOF. Replaying the
-// result rebuilds the store exactly, while shedding whatever append-order
-// redundancy the live log accumulated.
-//
-// maxVersionsPerKey > 0 additionally retains only the newest N versions of
-// each key in the written file, which is what keeps replay cost bounded on
-// long-lived deployments; 0 keeps full history. The in-memory store is not
-// modified either way.
-//
-// CompactTo refuses (ErrAOFAttached) while a persistence sink is attached:
-// the attached file handle would keep appending to the replaced inode.
-// Compact before attaching (as cmd/ttkvd does), or detach first. The sink
-// is re-checked immediately before the rename, but attaching concurrently
-// with an in-flight CompactTo is still a caller error — the two must be
-// sequenced.
-func (s *Store) CompactTo(path string, maxVersionsPerKey int) error {
-	if maxVersionsPerKey < 0 {
-		return fmt.Errorf("ttkv: negative version retention %d", maxVersionsPerKey)
-	}
-	if s.sink.Load() != nil {
-		return ErrAOFAttached
-	}
-	tmp := path + ".compact.tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ttkv: creating compaction temp: %w", err)
-	}
-	if err := s.writeSnapshot(f, maxVersionsPerKey); err != nil {
-		_ = f.Close() // returning the snapshot-write error; close is cleanup
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // returning the sync error; close is cleanup
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Narrow the check-then-act window: a sink attached while the
-	// snapshot was being written must abort the rename.
-	if s.sink.Load() != nil {
-		os.Remove(tmp)
-		return ErrAOFAttached
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ttkv: installing compacted AOF: %w", err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()  // best-effort: the data file itself was already synced
-		_ = dir.Close() // read-only directory handle; nothing buffered
-	}
-	return nil
 }

@@ -3,24 +3,24 @@ package ttkv
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/iotest"
 )
 
+// readDump replays an OCKV record stream into a fresh store.
+func readDump(r io.Reader) (*Store, error) {
+	s := New()
+	if err := ReadAOFInto(r, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func TestAOFRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
+	s, _, gc := newSegStore(t, dir, SegmentedConfig{})
 	must(t, s.Set("alpha", "1", at(0)))
 	must(t, s.Set("beta", "x", at(1)))
 	must(t, s.Set("alpha", "2", at(2)))
@@ -28,64 +28,35 @@ func TestAOFRoundTrip(t *testing.T) {
 	if err := s.SyncAOF(); err != nil {
 		t.Fatal(err)
 	}
-	if err := aof.Close(); err != nil {
+	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadSegments(t, dir)
 	if v, ok := loaded.Get("alpha"); !ok || v != "2" {
 		t.Errorf("alpha = %q,%v, want 2", v, ok)
 	}
 	if _, ok := loaded.Get("beta"); ok {
 		t.Error("beta must be deleted after replay")
 	}
-	origHist, _ := s.History("alpha")
-	loadHist, _ := loaded.History("alpha")
-	if len(origHist) != len(loadHist) {
-		t.Fatalf("history length %d != %d", len(loadHist), len(origHist))
-	}
-	for i := range origHist {
-		if origHist[i].Value != loadHist[i].Value || !origHist[i].Time.Equal(loadHist[i].Time) {
-			t.Errorf("version %d mismatch: %+v vs %+v", i, origHist[i], loadHist[i])
-		}
-	}
+	dumpEqual(t, loaded, s)
 }
 
 func TestAOFAppendAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
+	s, _, gc := newSegStore(t, dir, SegmentedConfig{})
 	must(t, s.Set("k", "v1", at(0)))
-	if err := aof.Close(); err != nil {
+	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	aof2, err := OpenAOFForAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.AttachAOF(aof2)
+	s2, _, gc2 := newSegStore(t, dir, SegmentedConfig{})
 	must(t, s2.Set("k", "v2", at(1)))
-	if err := aof2.Close(); err != nil {
+	if err := gc2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	final, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := loadSegments(t, dir)
 	if v, _ := final.Get("k"); v != "v2" {
 		t.Errorf("after reopen+append, k = %q, want v2", v)
 	}
@@ -96,32 +67,23 @@ func TestAOFAppendAfterReopen(t *testing.T) {
 }
 
 func TestAOFTruncatedTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New()
-	s.AttachAOF(aof)
 	must(t, s.Set("good", "1", at(0)))
 	must(t, s.Set("partial", "2", at(1)))
-	if err := aof.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := buf.Bytes()
 	// Chop mid-way through the final record to simulate a crash mid-append.
 	for _, cut := range []int{3, 7, 11} {
 		if cut >= len(raw) {
 			continue
 		}
 		chopped := raw[:len(raw)-cut]
-		loaded, err := ReadAOF(bytes.NewReader(chopped))
+		loaded, err := readDump(bytes.NewReader(chopped))
 		if err != nil {
-			t.Fatalf("cut %d: ReadAOF must tolerate a truncated tail, got %v", cut, err)
+			t.Fatalf("cut %d: ReadAOFInto must tolerate a truncated tail, got %v", cut, err)
 		}
 		if v, ok := loaded.Get("good"); !ok || v != "1" {
 			t.Errorf("cut %d: complete record lost: good = %q,%v", cut, v, ok)
@@ -130,13 +92,13 @@ func TestAOFTruncatedTailRecovered(t *testing.T) {
 }
 
 func TestAOFBadMagic(t *testing.T) {
-	if _, err := ReadAOF(bytes.NewReader([]byte("XXXX\x01\x00"))); !errors.Is(err, ErrAOFMagic) {
+	if _, err := readDump(bytes.NewReader([]byte("XXXX\x01\x00"))); !errors.Is(err, ErrAOFMagic) {
 		t.Errorf("err = %v, want ErrAOFMagic", err)
 	}
 }
 
 func TestAOFBadVersion(t *testing.T) {
-	if _, err := ReadAOF(bytes.NewReader([]byte("OCKV\xFF\x00"))); !errors.Is(err, ErrAOFVersion) {
+	if _, err := readDump(bytes.NewReader([]byte("OCKV\xFF\x00"))); !errors.Is(err, ErrAOFVersion) {
 		t.Errorf("err = %v, want ErrAOFVersion", err)
 	}
 }
@@ -146,7 +108,7 @@ func TestAOFCorruptOp(t *testing.T) {
 	buf.WriteString("OCKV")
 	buf.Write([]byte{0x01, 0x00}) // version
 	buf.WriteByte(0x77)           // invalid op
-	if _, err := ReadAOF(&buf); !errors.Is(err, ErrAOFCorrupt) {
+	if _, err := readDump(&buf); !errors.Is(err, ErrAOFCorrupt) {
 		t.Errorf("err = %v, want ErrAOFCorrupt", err)
 	}
 }
@@ -158,7 +120,7 @@ func TestAOFOversizedString(t *testing.T) {
 	buf.WriteByte(opSet)
 	buf.Write(make([]byte, 8))                // timestamp
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB key
-	if _, err := ReadAOF(&buf); !errors.Is(err, ErrAOFCorrupt) {
+	if _, err := readDump(&buf); !errors.Is(err, ErrAOFCorrupt) {
 		t.Errorf("err = %v, want ErrAOFCorrupt", err)
 	}
 }
@@ -177,7 +139,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadAOF(&buf)
+	loaded, err := readDump(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,147 +170,19 @@ func TestSyncAOFWithoutAttachment(t *testing.T) {
 	}
 }
 
-// Regression: CreateAOF used to os.Create, silently truncating existing
-// history. It must now refuse to clobber.
-func TestCreateAOFRefusesClobber(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
-	must(t, s.Set("k", "precious", at(0)))
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CreateAOF(path); !errors.Is(err, ErrAOFExists) {
-		t.Fatalf("CreateAOF on existing file = %v, want ErrAOFExists", err)
-	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := loaded.Get("k"); !ok || v != "precious" {
-		t.Fatalf("history damaged by refused create: %q,%v", v, ok)
-	}
-}
-
-func TestOpenOrCreateAOF(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-
-	// Fresh path: creates the file with a header.
-	aof, err := OpenOrCreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
-	must(t, s.Set("k", "v1", at(0)))
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Existing path: appends to the history instead of truncating it.
-	aof2, err := OpenOrCreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.AttachAOF(aof2)
-	must(t, s2.Set("k", "v2", at(1)))
-	if err := aof2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, _ := final.History("k")
-	if len(hist) != 2 || hist[0].Value != "v1" || hist[1].Value != "v2" {
-		t.Fatalf("history after reopen = %+v, want v1 then v2", hist)
-	}
-}
-
-// Regression: appending after a crash-truncated tail used to land new
-// records behind the partial garbage, where replay (which stops at the
-// first incomplete record) could never reach them. OpenOrCreateAOF must
-// truncate the damaged tail before appending.
-func TestOpenOrCreateAOFRepairsTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
-	must(t, s.Set("good", "1", at(0)))
-	must(t, s.Set("partial", "2", at(1)))
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop mid-way through the final record to simulate a crash.
-	if err := os.WriteFile(path, raw[:len(raw)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	aof2, err := OpenOrCreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.AttachAOF(aof2)
-	must(t, s2.Set("after-crash", "3", at(2)))
-	if err := aof2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := final.Get("good"); !ok || v != "1" {
-		t.Errorf("pre-crash record lost: good = %q,%v", v, ok)
-	}
-	if v, ok := final.Get("after-crash"); !ok || v != "3" {
-		t.Errorf("post-crash record unreachable: after-crash = %q,%v", v, ok)
-	}
-	if _, ok := final.Get("partial"); ok {
-		t.Error("the chopped record must stay discarded")
-	}
-}
-
 // A non-EOF read error mid-record must surface as an error, not be
-// misdiagnosed as a clean truncated tail — OpenOrCreateAOF turns a
-// truncation verdict into a destructive Truncate.
+// misdiagnosed as a clean truncated tail — segment tail repair, which
+// shares the record scanner, turns a truncation verdict into a
+// destructive Truncate.
 func TestReadAOFSurfacesIOErrors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New()
-	s.AttachAOF(aof)
 	must(t, s.Set("first", "1", at(0)))
 	must(t, s.Set("second", "2", at(1)))
-	if err := aof.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := buf.Bytes()
 	rec1End := aofHeaderLen + len(appendRecord(nil, "first", "1", at(0), false))
 	errDisk := errors.New("simulated disk error")
 	// The stream fails partway into the second record's timestamp: not a
@@ -358,183 +192,7 @@ func TestReadAOFSurfacesIOErrors(t *testing.T) {
 		t.Fatalf("ReadAOFInto with mid-record I/O error = %v, want %v", err, errDisk)
 	}
 	// A genuine truncation at the same offset stays tolerated.
-	if _, err := ReadAOF(bytes.NewReader(raw[:rec1End+3])); err != nil {
+	if _, err := readDump(bytes.NewReader(raw[:rec1End+3])); err != nil {
 		t.Fatalf("genuine truncation must stay tolerated, got %v", err)
-	}
-}
-
-// OpenAOFInto fuses replay and open-for-append in one pass.
-func TestOpenAOFInto(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-
-	// Fresh path: creates the file; nothing to replay.
-	empty := New()
-	aof, err := OpenAOFInto(path, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty.AttachAOF(aof)
-	must(t, empty.Set("k", "v1", at(0)))
-	must(t, empty.Set("k", "v2", at(1)))
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Existing path: replays into the given store and appends after the
-	// replayed records.
-	s := NewSharded(4)
-	aof2, err := OpenAOFInto(path, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("replayed %d keys, want 1", s.Len())
-	}
-	s.AttachAOF(aof2)
-	must(t, s.Set("k", "v3", at(2)))
-	if err := aof2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, _ := final.History("k")
-	if len(hist) != 3 || hist[2].Value != "v3" {
-		t.Fatalf("history = %+v, want v1,v2,v3", hist)
-	}
-}
-
-func TestOpenOrCreateAOFRejectsForeignFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "not-an-aof")
-	if err := os.WriteFile(path, []byte("garbage contents"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenOrCreateAOF(path); !errors.Is(err, ErrAOFMagic) {
-		t.Fatalf("OpenOrCreateAOF on garbage = %v, want ErrAOFMagic", err)
-	}
-}
-
-func TestCompactToFullFidelity(t *testing.T) {
-	s := New()
-	must(t, s.Set("k", "v1", at(0)))
-	must(t, s.Set("k", "v2", at(5)))
-	must(t, s.Set("other", "x", at(3)))
-	must(t, s.Delete("other", at(8)))
-	must(t, s.Set("k", "injected", at(2))) // out-of-order history survives
-
-	path := filepath.Join(t.TempDir(), "compacted.aof")
-	if err := s.CompactTo(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range s.Keys() {
-		want, _ := s.History(k)
-		got, err := loaded.History(k)
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("%q: %d versions,%v, want %d", k, len(got), err, len(want))
-		}
-		for i := range want {
-			if want[i].Value != got[i].Value || !want[i].Time.Equal(got[i].Time) ||
-				want[i].Deleted != got[i].Deleted {
-				t.Errorf("%q version %d: %+v vs %+v", k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCompactToRetention(t *testing.T) {
-	s := New()
-	for i := 0; i < 10; i++ {
-		must(t, s.Set("hot", fmt.Sprintf("v%d", i), at(i)))
-	}
-	must(t, s.Set("cold", "only", at(0)))
-
-	path := filepath.Join(t.TempDir(), "trimmed.aof")
-	if err := s.CompactTo(path, 3); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := loaded.History("hot")
-	if err != nil || len(hist) != 3 {
-		t.Fatalf("retained history = %d versions,%v, want 3", len(hist), err)
-	}
-	// The newest versions survive, oldest are shed.
-	if hist[0].Value != "v7" || hist[2].Value != "v9" {
-		t.Errorf("retained versions = %+v, want v7..v9", hist)
-	}
-	if h, err := loaded.History("cold"); err != nil || len(h) != 1 {
-		t.Errorf("short history must be untouched: %v,%v", h, err)
-	}
-	// The in-memory store keeps full history.
-	if h, _ := s.History("hot"); len(h) != 10 {
-		t.Errorf("CompactTo must not trim the live store (got %d versions)", len(h))
-	}
-}
-
-// CompactTo replaces an existing AOF atomically: the target keeps valid
-// content, and the temp file is gone afterwards.
-func TestCompactToReplacesExisting(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.aof")
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.AttachAOF(aof)
-	for i := 0; i < 5; i++ {
-		must(t, s.Set("k", fmt.Sprintf("v%d", i), at(i)))
-	}
-	if err := aof.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Compacting over the live AOF path is refused while a sink is still
-	// attached — the old handle would keep writing to the replaced inode.
-	if err := s.CompactTo(path, 1); !errors.Is(err, ErrAOFAttached) {
-		t.Fatalf("CompactTo with attached AOF = %v, want ErrAOFAttached", err)
-	}
-	s.AttachAOF(nil)
-	if err := s.CompactTo(path, 1); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("compaction left extra files: %v", entries)
-	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, _ := loaded.History("k")
-	if len(hist) != 1 || hist[0].Value != "v4" {
-		t.Fatalf("compacted history = %+v, want just v4", hist)
-	}
-	// And the compacted file accepts appends via OpenOrCreateAOF.
-	aof2, err := OpenOrCreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded.AttachAOF(aof2)
-	must(t, loaded.Set("k", "v5", at(9)))
-	if err := aof2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist, _ := final.History("k"); len(hist) != 2 {
-		t.Fatalf("append after compaction: history = %+v, want 2 versions", hist)
 	}
 }

@@ -3,7 +3,6 @@ package ttkv
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +33,7 @@ func (c *countingLog) writeBatch(encoded []byte, records int) error {
 // flushes on request: an hour-long interval, FsyncInterval.
 func newDemandPrimary(t *testing.T, log *countingLog) (*Store, *ReplLog, *GroupCommit) {
 	t.Helper()
-	aof, err := CreateAOF(filepath.Join(t.TempDir(), "store.aof"))
+	aof, err := OpenSegmented(t.TempDir(), SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,16 +92,15 @@ func (c GroupCommitConfig) withDefaults() GroupCommitConfig {
 	return c
 }
 
-// LogWriter is the append-only log a GroupCommit flushes into: a flat
-// AOF or a SegmentedAOF. The methods are unexported on purpose — only
-// this package's log types can be group-committed, which keeps the
-// batching contract internal (writeBatch and flushOS are called from the
-// single flusher goroutine only).
+// LogWriter is the append-only log a GroupCommit flushes into — a
+// SegmentedAOF, or a test wrapper around one. The methods are unexported
+// on purpose — only this package's log types can be group-committed,
+// which keeps the batching contract internal (writeBatch and flushOS are
+// called from the single flusher goroutine only).
 type LogWriter interface {
 	// writeBatch appends a batch of pre-encoded AOF records; records is
 	// how many complete records the batch holds (the segmented log uses
-	// it to maintain its per-segment sequence-range index, a flat file
-	// ignores it).
+	// it to maintain its per-segment sequence-range index).
 	writeBatch(encoded []byte, records int) error
 	// flushOS pushes buffered bytes to the OS without fsyncing.
 	flushOS() error
@@ -178,9 +177,8 @@ func (gc *GroupCommit) setOnCommit(fn func(gen uint64)) {
 	gc.onCommit = fn
 }
 
-// NewGroupCommit wraps a (typically freshly opened) log — a flat *AOF or
-// a *SegmentedAOF — in a group-commit appender and starts its background
-// flusher. The appender assumes sole ownership of the log until Close.
+// NewGroupCommit wraps a (typically freshly opened) log in a
+// group-commit appender and starts its background flusher. The appender assumes sole ownership of the log until Close.
 func NewGroupCommit(a LogWriter, cfg GroupCommitConfig) *GroupCommit {
 	gc := &GroupCommit{
 		aof:       a,

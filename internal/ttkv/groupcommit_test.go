@@ -44,18 +44,50 @@ func dumpEqual(t *testing.T, got, want *Store) {
 	}
 }
 
+// newTestGroupCommit returns a group commit over a fresh segmented log
+// and the log's directory.
 func newTestGroupCommit(t *testing.T, cfg GroupCommitConfig) (*GroupCommit, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "store.aof")
-	aof, err := CreateAOF(path)
+	dir := t.TempDir()
+	sa, err := OpenSegmented(dir, SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewGroupCommit(aof, cfg), path
+	return NewGroupCommit(sa, cfg), dir
+}
+
+// loadSegments replays the segment directory dir into a fresh store. It
+// replays a copy, leaving dir untouched even while its log is still live
+// (opening repairs a torn tail in place).
+func loadSegments(t *testing.T, dir string) *Store {
+	t.Helper()
+	cp := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New()
+	sa, err := OpenSegmentedInto(cp, s, SegmentedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestGroupCommitRoundTrip(t *testing.T) {
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{})
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{})
 	s := New()
 	s.AttachGroupCommit(gc)
 	must(t, s.Set("alpha", "1", at(0)))
@@ -68,17 +100,14 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadSegments(t, dir)
 	dumpEqual(t, loaded, s)
 }
 
 func TestGroupCommitSyncBarrierForcesDurability(t *testing.T) {
 	// With FsyncNever and an hour-long interval nothing reaches the file
 	// on its own; the Sync barrier alone must push records through.
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{
 		FlushInterval: time.Hour,
 		Fsync:         FsyncNever,
 	})
@@ -89,10 +118,7 @@ func TestGroupCommitSyncBarrierForcesDurability(t *testing.T) {
 	if err := s.SyncAOF(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadSegments(t, dir)
 	if v, ok := loaded.Get("k"); !ok || v != "v" {
 		t.Fatalf("after Sync barrier, replay = %q,%v, want v,true", v, ok)
 	}
@@ -101,7 +127,7 @@ func TestGroupCommitSyncBarrierForcesDurability(t *testing.T) {
 func TestGroupCommitFsyncAlwaysFlushesEagerly(t *testing.T) {
 	// With an hour-long interval, only FsyncAlways's per-append wakeup can
 	// get a lone record to disk — no Sync, no ticker, no size pressure.
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{
 		FlushInterval: time.Hour,
 		Fsync:         FsyncAlways,
 	})
@@ -111,11 +137,8 @@ func TestGroupCommitFsyncAlwaysFlushesEagerly(t *testing.T) {
 	must(t, s.Set("k", "v", at(0)))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		loaded, err := LoadAOF(path)
-		if err == nil {
-			if v, ok := loaded.Get("k"); ok && v == "v" {
-				return
-			}
+		if v, ok := loadSegments(t, dir).Get("k"); ok && v == "v" {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("record did not reach the AOF without Sync under FsyncAlways")
@@ -125,7 +148,7 @@ func TestGroupCommitFsyncAlwaysFlushesEagerly(t *testing.T) {
 }
 
 func TestGroupCommitCloseDrains(t *testing.T) {
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{FlushInterval: time.Hour})
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{FlushInterval: time.Hour})
 	s := New()
 	s.AttachGroupCommit(gc)
 	const n = 500
@@ -136,10 +159,7 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadSegments(t, dir)
 	if loaded.Len() != n {
 		t.Fatalf("replayed %d keys, want %d", loaded.Len(), n)
 	}
@@ -176,8 +196,7 @@ func TestGroupCommitAfterCloseFails(t *testing.T) {
 // readers of the same keys stay live — and resume once a flush cycle
 // drains the backlog.
 func TestGroupCommitBackpressure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.aof")
-	aof, err := CreateAOF(path)
+	aof, err := OpenSegmented(t.TempDir(), SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +279,13 @@ func TestGroupCommitIdleDoesNotSync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashDurability chops a group-commit-written AOF at every
-// possible offset and asserts replay recovers exactly the records that lie
-// fully before the damage — the group-commit analogue of the existing
-// truncated-tail tolerance.
+// TestGroupCommitCrashDurability chops a group-commit-written active
+// segment at every possible offset and asserts reopening recovers exactly
+// the records that lie fully before the damage and repairs the file to
+// end just past the last of them — the every-offset companion of
+// TestSegmentedTailRepair's single cut.
 func TestGroupCommitCrashDurability(t *testing.T) {
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{})
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{})
 	s := New()
 	s.AttachGroupCommit(gc)
 	type mut struct {
@@ -283,7 +303,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	// Record the byte offset at which each record ends, using the same
 	// encoder the appender uses.
 	ends := make([]int, len(muts))
-	off := aofHeaderLen
+	off := segHeaderLen
 	for i, m := range muts {
 		off += len(appendRecord(nil, m.key, m.value, at(m.sec), m.del))
 		ends[i] = off
@@ -296,28 +316,33 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, segName(1, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(raw) != off {
-		t.Fatalf("AOF is %d bytes, expected %d", len(raw), off)
+		t.Fatalf("active segment is %d bytes, expected %d", len(raw), off)
 	}
 
-	tmp := filepath.Join(t.TempDir(), "chopped.aof")
-	for cut := aofHeaderLen; cut <= len(raw); cut++ {
-		complete := 0
-		for _, end := range ends {
-			if end <= cut {
-				complete++
+	chopDir := t.TempDir()
+	active := filepath.Join(chopDir, segName(1, 0))
+	for cut := 0; cut <= len(raw); cut++ {
+		complete, end := 0, segHeaderLen
+		for _, e := range ends {
+			if e <= cut {
+				complete, end = complete+1, e
 			}
 		}
-		if err := os.WriteFile(tmp, raw[:cut], 0o644); err != nil {
+		if err := os.WriteFile(active, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadAOF(tmp)
+		loaded := New()
+		sa, err := OpenSegmentedInto(chopDir, loaded, SegmentedConfig{})
 		if err != nil {
 			t.Fatalf("cut %d: replay must tolerate truncation, got %v", cut, err)
+		}
+		if err := sa.Close(); err != nil {
+			t.Fatal(err)
 		}
 		st := loaded.Stats()
 		if got := int(st.Writes + st.Deletes); got != complete {
@@ -334,6 +359,14 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 				t.Fatalf("cut %d: record %d = %+v, want value %q del %v", cut, i, v, m.value, m.del)
 			}
 		}
+		// The torn tail is gone from disk, so later appends stay reachable.
+		fi, err := os.Stat(active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(end) {
+			t.Fatalf("cut %d: repaired segment is %d bytes, want %d", cut, fi.Size(), end)
+		}
 	}
 }
 
@@ -345,7 +378,7 @@ func TestShardedGroupCommitMatchesUnshardedBaseline(t *testing.T) {
 	const writers = 8
 	const perWriter = 100
 
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{})
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{})
 	sharded := NewSharded(16)
 	sharded.AttachGroupCommit(gc)
 
@@ -400,9 +433,5 @@ func TestShardedGroupCommitMatchesUnshardedBaseline(t *testing.T) {
 
 	dumpEqual(t, sharded, baseline)
 
-	replayed, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dumpEqual(t, replayed, baseline)
+	dumpEqual(t, loadSegments(t, dir), baseline)
 }

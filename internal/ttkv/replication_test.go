@@ -581,12 +581,29 @@ func TestReplDurableWatermarkBatchAligned(t *testing.T) {
 	}
 }
 
+// replSnapEqual compares two stores' full replication snapshots record
+// for record, sequence numbers included.
+func replSnapEqual(t *testing.T, got, want *Store) {
+	t.Helper()
+	a, b := got.ReplSnapshot(0, got.CurrentSeq()), want.ReplSnapshot(0, want.CurrentSeq())
+	if len(a) != len(b) {
+		t.Fatalf("snapshot lengths %d, want %d", len(a), len(b))
+	}
+	for i := range b {
+		if a[i].Seq != b[i].Seq || a[i].Key != b[i].Key || a[i].Value != b[i].Value ||
+			!a[i].Time.Equal(b[i].Time) || a[i].Deleted != b[i].Deleted {
+			t.Fatalf("record %d: got %+v, want %+v", i, a[i], b[i])
+		}
+	}
+}
+
 // TestReplAOFOrderMatchesSeqOrder: with a replication log attached, the
-// AOF byte order IS the sequence order even under concurrent writers, so
-// replay re-mints identical sequence numbers and dumps are byte-identical
-// across a restart — the invariant resumable replication rests on.
+// segment byte order IS the sequence order even under concurrent writers,
+// so segment replay (which derives each record's seq from its position)
+// rebuilds identical sequence numbers and dumps are byte-identical across
+// a restart — the invariant resumable replication rests on.
 func TestReplAOFOrderMatchesSeqOrder(t *testing.T) {
-	gc, path := newTestGroupCommit(t, GroupCommitConfig{FlushInterval: time.Millisecond})
+	gc, dir := newTestGroupCommit(t, GroupCommitConfig{FlushInterval: time.Millisecond})
 	s := NewSharded(16)
 	rl := NewReplLog(gc)
 	if err := s.AttachReplLog(rl); err != nil {
@@ -617,13 +634,11 @@ func TestReplAOFOrderMatchesSeqOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replayed, err := LoadAOF(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := loadSegments(t, dir)
 	if got, want := snapBytes(t, replayed), snapBytes(t, s); !bytes.Equal(got, want) {
-		t.Fatal("replayed dump differs: AOF order diverged from seq order")
+		t.Fatal("replayed dump differs: segment order diverged from seq order")
 	}
+	replSnapEqual(t, replayed, s)
 }
 
 // TestStoreReset empties everything and refuses with a sink attached.

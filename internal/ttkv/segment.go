@@ -145,27 +145,26 @@ func (c SegmentedConfig) withDefaults() SegmentedConfig {
 	return c
 }
 
-// SegmentedAOF is the AOF record stream split across sealed, checksummed
-// segment files plus one active tail, with a manifest (segments.idx)
-// recording each sealed segment's sequence range. Compared to the flat
-// AOF it buys three things: startup replays sealed segments in parallel
-// (each holds an independent record run whose sequence numbers are
-// derived from the manifest), SYNC catch-up reads a sequence range by
-// seeking to the covering segments instead of scanning the whole
-// keyspace, and compaction rewrites history segment-by-segment into a
-// fresh generation rather than rewriting one monolithic file.
+// SegmentedAOF is the store's append-only log: the AOF record stream
+// split across sealed, checksummed segment files plus one active tail,
+// with a manifest (segments.idx) recording each sealed segment's sequence
+// range. Startup replays sealed segments in parallel (each holds an
+// independent record run whose sequence numbers are derived from the
+// manifest), SYNC catch-up reads a sequence range by seeking to the
+// covering segments instead of scanning the whole keyspace, and
+// compaction rewrites history into a fresh generation committed by one
+// index swap.
 //
 // Sequence numbers are positional — record i of a segment based at b has
 // sequence b+i — which is exactly faithful when the feeder appends in
 // sequence order (a ReplLog-fed GroupCommit, the intended arrangement:
 // the ReplLog mints sequence numbers under the same lock that orders
-// appends). Without a ReplLog the derived numbers are simply log order,
-// matching what flat-AOF replay would re-mint.
+// appends). Without a ReplLog the derived numbers are simply log order.
 //
-// It implements LogWriter, so it plugs into a GroupCommit wherever an
-// *AOF does. Write errors are sticky: after one failed append the writer
-// refuses further work, because a hole in the middle of the log must not
-// be papered over by later successes.
+// It implements LogWriter, so it plugs into a GroupCommit. Write errors
+// are sticky: after one failed append the writer refuses further work,
+// because a hole in the middle of the log must not be papered over by
+// later successes.
 //
 //ocasta:durable
 type SegmentedAOF struct {
@@ -196,8 +195,8 @@ func OpenSegmented(dir string, cfg SegmentedConfig) (*SegmentedAOF, error) {
 // their record runs are independent, and the manifest supplies each
 // record's sequence number, so insertion order across segments does not
 // matter — then the active tail replays sequentially, with a partial
-// final record (crash mid-append) truncated away exactly like the flat
-// AOF's tail repair. A sealed segment that disagrees with the manifest
+// final record (crash mid-append) truncated away so later appends stay
+// reachable. A sealed segment that disagrees with the manifest
 // is ErrSegCorrupt: past the index commit those bytes were fsynced and
 // immutable, so damage there is never a crash artifact.
 //
@@ -809,29 +808,50 @@ func syncDir(dir string) error {
 }
 
 // CompactSegmentDir rewrites dir's history as a fresh generation of
-// sealed segments — the segmented counterpart of CompactTo, except
-// history retires segment-by-segment instead of rewriting one monolithic
-// file, and the swap is the index rename rather than a file rename. The
-// directory must not be open in a live SegmentedAOF. The existing
-// segments replay into a scratch store (shards as NewSharded), the
-// snapshot — full history, or the newest retain versions per key when
-// retain > 0 — is written as generation+1 segments sized by cfg, the new
-// index commits atomically, and the old generation's files are swept. A
-// crash anywhere before the index commit leaves the old generation
-// intact (the new files are other-generation orphans the next open
-// removes); a crash after it leaves only the sweep to redo.
+// sealed segments: the existing segments replay into a scratch store
+// (shards as NewSharded), which WriteSegmentDir then writes back — full
+// history, or the newest retain versions per key when retain > 0. History
+// retires segment-by-segment and the swap is the index rename. The
+// directory must not be open in a live SegmentedAOF.
 func CompactSegmentDir(dir string, shards, retain int, cfg SegmentedConfig) error {
-	cfg = cfg.withDefaults()
 	scratch := NewSharded(shards)
 	sa, err := OpenSegmentedInto(dir, scratch, cfg)
 	if err != nil {
 		return err
 	}
-	gen := sa.gen
 	if err := sa.Close(); err != nil {
 		return err
 	}
-	entries := scratch.snapshotEntries(retain)
+	return scratch.WriteSegmentDir(dir, retain, cfg)
+}
+
+// WriteSegmentDir writes the store's history into dir as the next
+// generation of sealed segments sized by cfg — full history, or the
+// newest retain versions per key when retain > 0 — commits the new index
+// atomically, and sweeps every other generation. It is the one snapshot
+// writer behind compaction, backup restore, flat-AOF import and trace
+// generation; a fresh dir gets generation 2, as if generation 1 had been
+// compacted. Segment sequence numbers are positional, so the written log
+// replays to the store's versions in sequence order, renumbered densely.
+// The directory must not be open in a live SegmentedAOF. A crash anywhere
+// before the index commit leaves the previous generation intact (the new
+// files are other-generation orphans the next open removes); a crash
+// after it leaves only the sweep to redo.
+func (s *Store) WriteSegmentDir(dir string, retain int, cfg SegmentedConfig) error {
+	if retain < 0 {
+		return fmt.Errorf("ttkv: negative version retention %d", retain)
+	}
+	cfg = cfg.withDefaults()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("ttkv: creating segment dir: %w", err)
+	}
+	gen, _, found, err := readSegIndex(dir)
+	if err != nil {
+		return err
+	}
+	if !found {
+		gen = 1 // what OpenSegmentedInto assumes before the first seal
+	}
 	newGen := gen + 1
 
 	var metas []segMeta
@@ -855,7 +875,7 @@ func CompactSegmentDir(dir string, shards, retain int, cfg SegmentedConfig) erro
 		f = nil
 		return nil
 	}
-	for _, e := range entries {
+	for _, e := range s.snapshotEntries(retain) {
 		if f == nil {
 			base := uint64(0)
 			if n := len(metas); n > 0 {
@@ -863,7 +883,7 @@ func CompactSegmentDir(dir string, shards, retain int, cfg SegmentedConfig) erro
 			}
 			f, err = os.OpenFile(filepath.Join(dir, segName(newGen, base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 			if err != nil {
-				return fmt.Errorf("ttkv: creating compacted segment: %w", err)
+				return fmt.Errorf("ttkv: creating snapshot segment: %w", err)
 			}
 			w = bufio.NewWriter(f)
 			if _, err := w.Write(segHeader(base)); err != nil {
@@ -891,7 +911,7 @@ func CompactSegmentDir(dir string, shards, retain int, cfg SegmentedConfig) erro
 			return err
 		}
 	}
-	// Commit: the new index supersedes the old generation atomically.
+	// Commit: the new index supersedes the previous generation atomically.
 	if err := writeSegIndex(dir, newGen, metas); err != nil {
 		return err
 	}

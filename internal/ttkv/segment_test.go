@@ -1,6 +1,7 @@
 package ttkv
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -470,5 +471,94 @@ func TestSegmentedBatchAtomicity(t *testing.T) {
 	dumpEqual(t, s2, s)
 	if got := s2.CurrentSeq(); got != 40 {
 		t.Fatalf("CurrentSeq = %d, want 40", got)
+	}
+}
+
+// TestWriteSegmentDirFullFidelity: the snapshot writer turns a store —
+// out-of-order injected history and tombstones included — into a
+// segment directory that replays to a byte-identical dump with identical
+// sequence numbers, across several sealed segments.
+func TestWriteSegmentDirFullFidelity(t *testing.T) {
+	s := New()
+	must(t, s.Set("k", "v1", at(0)))
+	must(t, s.Set("k", "v2", at(5)))
+	must(t, s.Set("other", "x", at(3)))
+	must(t, s.Delete("other", at(8)))
+	must(t, s.Set("k", "injected", at(2))) // out-of-order history survives
+
+	dir := t.TempDir()
+	cfg := SegmentedConfig{MaxSegmentBytes: 48}
+	if err := s.WriteSegmentDir(dir, 0, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mustReadIndex(t, dir)); n < 2 {
+		t.Fatalf("%d sealed segments, want several at a 48-byte threshold", n)
+	}
+	loaded := New()
+	sa, err := OpenSegmentedInto(dir, loaded, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapBytes(t, loaded), snapBytes(t, s)) {
+		t.Fatal("replayed dump differs from the written store")
+	}
+	replSnapEqual(t, loaded, s)
+}
+
+// TestWriteSegmentDirRetention: retain keeps the newest N versions per
+// key in the written generation (the in-memory store is untouched), a
+// rewrite over an existing directory supersedes the previous generation,
+// and a negative retention is refused before anything is written.
+func TestWriteSegmentDirRetention(t *testing.T) {
+	s := New()
+	for i := 0; i < 10; i++ {
+		must(t, s.Set("hot", fmt.Sprintf("v%d", i), at(i)))
+	}
+	must(t, s.Set("cold", "only", at(0)))
+
+	dir := t.TempDir()
+	if err := s.WriteSegmentDir(dir, 0, SegmentedConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSegmentDir(dir, 3, SegmentedConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if g, _, ok := parseSegName(e.Name()); ok && g != 3 {
+			t.Fatalf("generation-%d file %s survived the rewrite", g, e.Name())
+		}
+	}
+	loaded := loadSegments(t, dir)
+	hist, err := loaded.History("hot")
+	if err != nil || len(hist) != 3 {
+		t.Fatalf("retained history = %d versions,%v, want 3", len(hist), err)
+	}
+	// The newest versions survive, oldest are shed.
+	if hist[0].Value != "v7" || hist[2].Value != "v9" {
+		t.Errorf("retained versions = %+v, want v7..v9", hist)
+	}
+	if h, err := loaded.History("cold"); err != nil || len(h) != 1 {
+		t.Errorf("short history must be untouched: %v,%v", h, err)
+	}
+	if h, _ := s.History("hot"); len(h) != 10 {
+		t.Errorf("WriteSegmentDir must not trim the live store (got %d versions)", len(h))
+	}
+
+	fresh := filepath.Join(t.TempDir(), "never-written")
+	if err := s.WriteSegmentDir(fresh, -1, SegmentedConfig{}); err == nil {
+		t.Fatal("negative retention accepted")
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused write still created %s (stat err %v)", fresh, err)
+	}
+	if err := CompactSegmentDir(dir, 16, -1, SegmentedConfig{}); err == nil {
+		t.Fatal("CompactSegmentDir accepted a negative retention")
 	}
 }

@@ -8,8 +8,8 @@
 // values with timestamps, with a special value type representing deletions.
 // This package implements that record schema natively, adds point-in-time
 // reads (the primitive the repair tool's rollback search is built on), and
-// provides append-only-file persistence (aof.go, segment.go, groupcommit.go)
-// so a logging daemon can survive restarts.
+// provides append-only-log persistence (segment.go, groupcommit.go, with
+// the record codec in aof.go) so a logging daemon can survive restarts.
 //
 // The store is sharded: keys are hash-partitioned across N lock-striped
 // shards so writers to distinct keys never contend on a lock. Version
@@ -277,9 +277,8 @@ type StatsObserver interface {
 type observerBox struct{ obs StatsObserver }
 
 // SetStatsObserver installs (or, with nil, removes) the store's mutation
-// observer. Attach it before replaying an AOF to feed historical writes
-// through the same hook (or use ObserveHistory after a parallel segment
-// replay).
+// observer. Segment replay bypasses it; use ObserveHistory to feed the
+// replayed history through before attaching.
 func (s *Store) SetStatsObserver(obs StatsObserver) {
 	if obs == nil {
 		s.observer.Store(nil)
@@ -298,9 +297,8 @@ func (s *Store) statsObserver() StatsObserver {
 
 // ObserveHistory replays every version already in the store, in global
 // sequence order, through obs. It is the analytics bridge for parallel
-// segment replay, which (unlike single-pass AOF replay) bypasses the
-// per-write observer hook; call it once after replay, before serving
-// writes.
+// segment replay, which bypasses the per-write observer hook; call it
+// once after replay, before serving writes.
 func (s *Store) ObserveHistory(obs StatsObserver) {
 	if obs == nil {
 		return

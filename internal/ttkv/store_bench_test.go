@@ -325,25 +325,6 @@ func BenchmarkStoreRead(b *testing.B) {
 	}
 }
 
-// buildFlatAOF writes n records through the normal append path into a
-// single flat AOF and returns its path.
-func buildFlatAOF(b *testing.B, dir string, n int) string {
-	b.Helper()
-	path := filepath.Join(dir, "bench.aof")
-	s := New()
-	aof, err := OpenAOFInto(path, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gc := NewGroupCommit(aof, GroupCommitConfig{Fsync: FsyncNever})
-	s.AttachGroupCommit(gc)
-	fillBenchHistory(b, s, n)
-	if err := gc.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return path
-}
-
 // buildSegmentDir writes n records through the normal append path into a
 // segmented AOF directory and returns it.
 func buildSegmentDir(b *testing.B, dir string, n int) string {
@@ -384,26 +365,6 @@ func fillBenchHistory(b *testing.B, s *Store, n int) {
 }
 
 var replaySizes = []int{20000, 80000}
-
-// BenchmarkReplayFlat is the baseline startup cost: sequential replay of
-// a single flat AOF, linear in total history.
-func BenchmarkReplayFlat(b *testing.B) {
-	for _, n := range replaySizes {
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			path := buildFlatAOF(b, b.TempDir(), n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := NewSharded(16)
-				if err := LoadAOFInto(path, s); err != nil {
-					b.Fatal(err)
-				}
-				if got := s.CurrentSeq(); got != uint64(n) {
-					b.Fatalf("replayed %d records, want %d", got, n)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkReplaySegmented replays a segmented directory: sealed
 // segments fan out across the worker pool, so wall-clock cost is the

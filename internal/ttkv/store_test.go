@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -547,11 +546,10 @@ func BenchmarkStoreParallel(b *testing.B) {
 }
 
 // BenchmarkStoreParallelGroupCommit is the same write-heavy workload with
-// a group-commit AOF attached, to quantify the persistence overhead on
-// the hot path (an in-memory memcpy; disk I/O is off-thread).
+// a group-commit segmented log attached, to quantify the persistence
+// overhead on the hot path (an in-memory memcpy; disk I/O is off-thread).
 func BenchmarkStoreParallelGroupCommit(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.aof")
-	aof, err := CreateAOF(path)
+	aof, err := OpenSegmented(b.TempDir(), SegmentedConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -657,35 +655,65 @@ func TestStatsObserverSeesAllMutationPaths(t *testing.T) {
 	}
 }
 
+// TestStatsObserverSeesReplayedAOF: segment replay (parallel across
+// sealed segments) bypasses the observer, and ObserveHistory then feeds
+// the replayed history through it in sequence order — not time order,
+// tombstones included — before live writes follow. This is the path
+// ttkvd and OpenStore warm the analytics engine through on restart.
 func TestStatsObserverSeesReplayedAOF(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "replay.aof")
-	src := New()
-	aof, err := CreateAOF(path)
-	if err != nil {
-		t.Fatal(err)
+	cfg := SegmentedConfig{MaxSegmentBytes: 32} // roll after every batch
+	src, sa, gc := newSegStore(t, dir, cfg)
+	writes := []struct {
+		key string
+		sec int
+		del bool
+	}{
+		{"k1", 1, false},
+		{"k2", 5, false},
+		{"k1", 3, false}, // out of order: sequence order differs from time order
+		{"k2", 6, true},
+		{"k1", 2, true}, // an out-of-order tombstone
+		{"k3", 4, false},
 	}
-	src.AttachAOF(aof)
-	if err := src.Set("k1", "v1", at(1)); err != nil {
-		t.Fatal(err)
+	var want []string
+	for _, w := range writes {
+		if w.del {
+			must(t, src.Delete(w.key, at(w.sec)))
+		} else {
+			must(t, src.Set(w.key, "v", at(w.sec)))
+		}
+		must(t, src.SyncAOF()) // one record per batch, so segments roll
+		suffix := ""
+		if w.del {
+			suffix = "!"
+		}
+		want = append(want, fmt.Sprintf("%s@%d%s", w.key, at(w.sec).Unix(), suffix))
 	}
-	if err := src.Delete("k1", at(2)); err != nil {
-		t.Fatal(err)
+	if st := sa.Stats(); st.Sealed < 3 {
+		t.Fatalf("Sealed = %d, want several segments to replay in parallel", st.Sealed)
 	}
-	if err := aof.Close(); err != nil {
+	if err := gc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := New()
 	obs := &recordingObserver{}
 	dst.SetStatsObserver(obs)
-	re, err := OpenAOFInto(path, dst)
+	re, err := OpenSegmentedInto(dir, dst, SegmentedConfig{MaxSegmentBytes: 32, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	want := []string{"k1@" + fmt.Sprint(at(1).Unix()), "k1@" + fmt.Sprint(at(2).Unix()) + "!"}
+	if len(obs.seen) != 0 {
+		t.Fatalf("segment replay reached the observer directly: %v", obs.seen)
+	}
+	dst.ObserveHistory(obs)
 	if !reflect.DeepEqual(obs.seen, want) {
-		t.Fatalf("replay observer saw %v, want %v", obs.seen, want)
+		t.Fatalf("ObserveHistory fed %v, want %v (sequence order)", obs.seen, want)
+	}
+	must(t, dst.Set("live", "v", at(9)))
+	if got := obs.seen[len(obs.seen)-1]; got != fmt.Sprintf("live@%d", at(9).Unix()) {
+		t.Fatalf("live write after backfill observed as %q", got)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // swappingSink is a plain persistence sink (no sequence minting) that
 // rebinds the store to a second sink the moment its first record
-// arrives — the concurrent AttachAOF a revert batch must not be split
-// across.
+// arrives — the concurrent sink re-attach a revert batch must not be
+// split across.
 type swappingSink struct {
 	s    *Store
 	next *countingSink

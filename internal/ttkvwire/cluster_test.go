@@ -386,7 +386,9 @@ func TestSlotMigrationChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fc.Close()
+	// A cleanup, not a defer: it must run after the writer's cleanup below
+	// has stopped the writer, which still uses the client.
+	t.Cleanup(func() { fc.Close() })
 
 	// Keys all landing in one slot owned by node 0.
 	var keys []string
@@ -413,7 +415,17 @@ func TestSlotMigrationChaos(t *testing.T) {
 		acked = make(map[string][]clusterOp)
 	)
 	stop := make(chan struct{})
+	var stopOnce sync.Once
 	var wg sync.WaitGroup
+	// stopWriter stops and joins the writer. It is also registered as a
+	// cleanup, so a migrate that gives up with t.Fatal cannot leave the
+	// writer running past the test, where its t.Errorf would panic the
+	// whole package.
+	stopWriter := func() {
+		stopOnce.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	t.Cleanup(stopWriter)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -458,8 +470,7 @@ func TestSlotMigrationChaos(t *testing.T) {
 		t.Fatalf("rerun of completed migration: %v", err)
 	}
 	migrate(nodes[1].addr, nodes[0].addr)
-	close(stop)
-	wg.Wait()
+	stopWriter()
 	if t.Failed() {
 		return
 	}

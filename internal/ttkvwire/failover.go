@@ -422,7 +422,7 @@ func (n *Node) elect(rc *ReplicaClient) {
 // startReplica builds this node's replica client against primary.
 func (n *Node) startReplica(primary string) (*ReplicaClient, error) {
 	lease := n.cfg.LeaseInterval
-	rc, err := StartReplica(ReplicaConfig{
+	rc, err := NewReplicaClient(ReplicaConfig{
 		Primary:    primary,
 		Store:      n.cfg.Store,
 		MinBackoff: lease / 8,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -543,7 +542,7 @@ func TestSemiSyncConnOverrideStrengthens(t *testing.T) {
 // while a write nobody waits on still leaves the commit to the timer.
 func TestSemiSyncAckIndependentOfFlushInterval(t *testing.T) {
 	store := ttkv.NewSharded(4)
-	aof, err := ttkv.CreateAOF(filepath.Join(t.TempDir(), "primary.aof"))
+	aof, err := ttkv.OpenSegmented(t.TempDir(), ttkv.SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

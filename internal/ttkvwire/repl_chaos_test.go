@@ -143,7 +143,7 @@ func TestReplChaosResumeExactlyOnce(t *testing.T) {
 	})
 
 	replica := ttkv.NewSharded(2)
-	rc, err := StartReplica(ReplicaConfig{
+	rc, err := NewReplicaClient(ReplicaConfig{
 		Primary:    proxy.Addr(),
 		Store:      replica,
 		MinBackoff: time.Millisecond,

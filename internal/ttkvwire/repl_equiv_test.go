@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +39,8 @@ func buildMutations(spec workload.StreamSpec) []ttkv.Mutation {
 }
 
 // startEquivPrimary builds the case's primary: sharded store, optional
-// group-commit AOF per fsync policy, replication log, engine, server.
+// group-commit segmented log per fsync policy, replication log, engine,
+// server.
 func startEquivPrimary(t *testing.T, c replEquivCase, engine *core.Engine) (*ttkv.Store, *ttkv.ReplLog, string) {
 	t.Helper()
 	store := ttkv.NewSharded(c.shards)
@@ -53,7 +53,7 @@ func startEquivPrimary(t *testing.T, c replEquivCase, engine *core.Engine) (*ttk
 		if err != nil {
 			t.Fatal(err)
 		}
-		aof, err := ttkv.CreateAOF(filepath.Join(t.TempDir(), "primary.aof"))
+		aof, err := ttkv.OpenSegmented(t.TempDir(), ttkv.SegmentedConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

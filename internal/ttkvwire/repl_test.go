@@ -60,7 +60,7 @@ func startReplicaNode(t testing.TB, primaryAddr string, engine *core.Engine) (*t
 	if engine != nil {
 		cfg.OnReset = engine.Reset
 	}
-	rc, err := StartReplica(cfg)
+	rc, err := NewReplicaClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestReplicaFullResyncOnNewPrimary(t *testing.T) {
 
 	var resets atomic.Int32
 	replica := ttkv.New()
-	rc, err := StartReplica(ReplicaConfig{
+	rc, err := NewReplicaClient(ReplicaConfig{
 		Primary:    addr,
 		Store:      replica,
 		MinBackoff: 10 * time.Millisecond,

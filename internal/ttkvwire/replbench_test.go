@@ -3,7 +3,6 @@ package ttkvwire
 import (
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,7 +51,7 @@ func BenchmarkReplicatedReads(b *testing.B) {
 			rcs := make([]*ReplicaClient, 0, replicas)
 			for r := 0; r < replicas; r++ {
 				store := ttkv.NewSharded(16)
-				rc, err := StartReplica(ReplicaConfig{
+				rc, err := NewReplicaClient(ReplicaConfig{
 					Primary:    endpoints[0],
 					Store:      store,
 					MinBackoff: 10 * time.Millisecond,
@@ -134,7 +133,7 @@ func BenchmarkReplicationCatchUp(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		store := ttkv.NewSharded(16)
-		rc, err := StartReplica(ReplicaConfig{Primary: ln.Addr().String(), Store: store})
+		rc, err := NewReplicaClient(ReplicaConfig{Primary: ln.Addr().String(), Store: store})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +157,7 @@ func BenchmarkSemiSyncMSet(b *testing.B) {
 	const keysPerOp = 6
 	base := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
 	primary := ttkv.NewSharded(16)
-	aof, err := ttkv.CreateAOF(filepath.Join(b.TempDir(), "primary.aof"))
+	aof, err := ttkv.OpenSegmented(b.TempDir(), ttkv.SegmentedConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

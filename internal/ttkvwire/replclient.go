@@ -14,7 +14,7 @@ import (
 	"ocasta/internal/ttkv"
 )
 
-// ErrReplicaStopped is returned by StartReplica config validation and is
+// ErrReplicaStopped is returned by NewReplicaClient config validation and is
 // the terminal state reason after Stop.
 var ErrReplicaStopped = errors.New("ttkvwire: replica client stopped")
 
@@ -84,7 +84,7 @@ type ReplicaStatus struct {
 // local read-only store: it dials, SYNCs from its last applied sequence,
 // applies the record stream (atomic batches applied atomically), acks
 // progress, and reconnects with exponential backoff when the connection
-// dies — resuming exactly where it stopped. Construct with StartReplica;
+// dies — resuming exactly where it stopped. Construct with NewReplicaClient;
 // Stop tears it down.
 type ReplicaClient struct {
 	cfg ReplicaConfig
@@ -110,8 +110,8 @@ type ReplicaClient struct {
 	done chan struct{}
 }
 
-// StartReplica validates cfg and starts the replication loop.
-func StartReplica(cfg ReplicaConfig) (*ReplicaClient, error) {
+// NewReplicaClient validates cfg and starts the replication loop.
+func NewReplicaClient(cfg ReplicaConfig) (*ReplicaClient, error) {
 	if cfg.Primary == "" {
 		return nil, errors.New("ttkvwire: replica config needs a primary address")
 	}

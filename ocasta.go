@@ -12,8 +12,9 @@
 //
 //   - clustering: Correlation metric + hierarchical agglomerative
 //     clustering with a tunable threshold (ClusterEvents, ClusterTrace).
-//   - TTKV: versioned store with point-in-time reads, append-only-file
-//     persistence, and a network protocol (NewStore, LoadStore, Serve).
+//   - TTKV: versioned store with point-in-time reads, segmented
+//     append-only-log persistence, and a network protocol (NewStore,
+//     OpenStore, Serve).
 //   - Loggers: Windows-registry, GConf, and configuration-file
 //     interception feeding the TTKV (NewLogger).
 //   - Repair: sandboxed rollback search over cluster histories

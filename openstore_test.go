@@ -77,11 +77,11 @@ func TestOpenStoreSegmented(t *testing.T) {
 		t.Fatalf("history after Retain:1 = %d versions, %v, want 1", len(hist), err)
 	}
 
-	// The exclusivity and dependency guards reject bad combinations.
-	if _, err := OpenStore(StoreOptions{AOFPath: dir + "/f.aof", AOFDir: dir}); err == nil {
-		t.Fatal("AOFPath+AOFDir accepted")
-	}
+	// The dependency and retention guards reject bad combinations.
 	if _, err := OpenStore(StoreOptions{Compact: true}); err == nil {
-		t.Fatal("Compact without a backing path accepted")
+		t.Fatal("Compact without a backing directory accepted")
+	}
+	if _, err := OpenStore(StoreOptions{AOFDir: t.TempDir(), Compact: true, Retain: -1}); err == nil {
+		t.Fatal("negative Retain accepted")
 	}
 }

@@ -24,9 +24,7 @@ type (
 	Version = ttkv.Version
 	// StoreStats summarizes a store (Table I's volume columns).
 	StoreStats = ttkv.Stats
-	// AOF is the store's append-only persistence file.
-	AOF = ttkv.AOF
-	// SegmentedAOF is a segmented append-only log directory: sealed,
+	// SegmentedAOF is the store's append-only log directory: sealed,
 	// checksummed segments plus one active tail. Sealed segments replay
 	// in parallel on open and serve replica catch-up by sequence range.
 	SegmentedAOF = ttkv.SegmentedAOF
@@ -37,8 +35,6 @@ type (
 	SegmentedStats = ttkv.SegmentedStats
 	// GroupCommit batches AOF writes off the store's hot path.
 	GroupCommit = ttkv.GroupCommit
-	// GroupCommitConfig tunes a GroupCommit's flush and fsync cadence.
-	GroupCommitConfig = ttkv.GroupCommitConfig
 	// FsyncPolicy selects when the group-commit appender fsyncs.
 	FsyncPolicy = ttkv.FsyncPolicy
 	// Mutation is one entry of a batch applied with Store.Apply or
@@ -67,20 +63,14 @@ type (
 	// ReplicationConfig tunes a primary's replica feeds (outbox bound,
 	// heartbeat cadence).
 	ReplicationConfig = ttkvwire.ReplicationConfig
-	// ReplicaClient maintains asynchronous replication from a primary
-	// into a local read-only store, reconnecting with backoff and
-	// resuming from its last applied sequence.
-	ReplicaClient = ttkvwire.ReplicaClient
-	// ReplicaConfig configures a ReplicaClient.
-	ReplicaConfig = ttkvwire.ReplicaConfig
-	// ReplicaStatus is a replica client's progress snapshot.
+	// ReplicaStatus is a replica's progress snapshot.
 	ReplicaStatus = ttkvwire.ReplicaStatus
 	// ReplStatus is a parsed REPLSTAT reply (Client.ReplStatus).
 	ReplStatus = ttkvwire.ReplStatus
 )
 
 // Group-commit fsync policies, re-exported so external callers can fill
-// GroupCommitConfig.Fsync.
+// StoreOptions.Fsync.
 const (
 	// FsyncInterval fsyncs once per flush interval (the default).
 	FsyncInterval = ttkv.FsyncInterval
@@ -95,33 +85,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return ttkv.ParseFsyncPol
 
 // NewStore returns an empty TTKV with the default shard count.
 func NewStore() *Store { return ttkv.New() }
-
-// NewShardedStore returns an empty TTKV striped across n lock shards
-// (rounded up to a power of two); writers to distinct keys never contend.
-//
-// Deprecated: use OpenStore(StoreOptions{Shards: n}).
-func NewShardedStore(n int) *Store { return ttkv.NewSharded(n) }
-
-// LoadStore replays an append-only file into a fresh store, tolerating a
-// truncated tail.
-func LoadStore(path string) (*Store, error) { return ttkv.LoadAOF(path) }
-
-// CreateAOF creates an append-only file; attach it with Store.AttachAOF,
-// or wrap it with NewGroupCommit to batch disk I/O off the write path.
-func CreateAOF(path string) (*AOF, error) { return ttkv.CreateAOF(path) }
-
-// OpenOrCreateAOF opens an AOF for appending, creating it if absent. A
-// crash-truncated tail is repaired before appending.
-//
-// Deprecated: use OpenStore(StoreOptions{AOFPath: path}), which replays,
-// repairs, and attaches the file in one call.
-func OpenOrCreateAOF(path string) (*AOF, error) { return ttkv.OpenOrCreateAOF(path) }
-
-// OpenAOFInto is OpenOrCreateAOF fused with replay into store — the
-// single-pass startup path a daemon wants.
-//
-// Deprecated: use OpenStore(StoreOptions{AOFPath: path}).
-func OpenAOFInto(path string, store *Store) (*AOF, error) { return ttkv.OpenAOFInto(path, store) }
 
 // OpenSegmentedInto opens (or creates) a segmented AOF directory and
 // replays its history into store, sealed segments in parallel. Prefer
@@ -138,33 +101,8 @@ func CompactSegmentDir(dir string, shards, retain int, cfg SegmentedConfig) erro
 	return ttkv.CompactSegmentDir(dir, shards, retain, cfg)
 }
 
-// NewGroupCommit wraps an AOF in a group-commit batch appender; attach it
-// with Store.AttachGroupCommit.
-//
-// Deprecated: use OpenStore, which assembles the group-commit pipeline
-// (StoreOptions.Fsync, StoreOptions.FlushInterval) and returns it on the
-// handle.
-func NewGroupCommit(a *AOF, cfg GroupCommitConfig) *GroupCommit {
-	return ttkv.NewGroupCommit(a, cfg)
-}
-
 // NewServer wraps a store in a TTKV network server.
 func NewServer(store *Store) *Server { return ttkvwire.NewServer(store) }
-
-// NewReplLog returns a replication log feeding gc (nil for an in-memory
-// primary: records are then shippable the instant they apply). Attach it
-// with Store.AttachReplLog and serve with Server.EnableReplication.
-//
-// Deprecated: use OpenStore(StoreOptions{Replicate: true}), which builds
-// and attaches the log.
-func NewReplLog(gc *GroupCommit) *ReplLog { return ttkv.NewReplLog(gc) }
-
-// StartReplica begins asynchronous replication from a primary into a
-// local store (serve it read-only with Server.SetReadOnly).
-//
-// Deprecated: use StartNode, which manages the replica client together
-// with failure detection, promotion, and fencing.
-func StartReplica(cfg ReplicaConfig) (*ReplicaClient, error) { return ttkvwire.StartReplica(cfg) }
 
 // Dial connects to a TTKV server.
 func Dial(addr string) (*Client, error) { return ttkvwire.Dial(addr) }
