@@ -17,21 +17,11 @@ import (
 // so a read-only replica serves them, letting operators point backup
 // schedules at a replica and keep the primary's latency budget intact.
 
-// errBackupsDisabled is the reply to BACKUP/BSTAT when the server has no
-// backup manager attached.
-const errBackupsDisabled = "ERR backups disabled (run ttkvd with -backup-dir)"
-
 // cmdBackup takes a backup now. Usage: BACKUP [AUTO|FULL|INCR], AUTO
 // being the default (full into an empty directory, incremental after).
 // Concurrent BACKUP commands serialize on the manager; the store is
 // never blocked. Reply: one backupValue row.
-func (s *Server) cmdBackup(args []string) Value {
-	if s.backups == nil {
-		return errValue(errBackupsDisabled)
-	}
-	if len(args) > 1 {
-		return errValue("ERR usage: BACKUP [AUTO|FULL|INCR]")
-	}
+func (s *Server) cmdBackup(_ *connState, args []string) Value {
 	mode := "AUTO"
 	if len(args) == 1 {
 		mode = strings.ToUpper(args[0])
@@ -46,7 +36,7 @@ func (s *Server) cmdBackup(args []string) Value {
 	case "INCR":
 		man, err = s.backups.Incremental()
 	default:
-		return errValue("ERR usage: BACKUP [AUTO|FULL|INCR]")
+		return errValue(commands["BACKUP"].usage)
 	}
 	if err != nil {
 		return errValue("ERR " + err.Error())
@@ -56,13 +46,7 @@ func (s *Server) cmdBackup(args []string) Value {
 
 // cmdBackupStat lists the directory's backups, oldest first. Usage:
 // BSTAT. Reply: array of backupValue rows.
-func (s *Server) cmdBackupStat(args []string) Value {
-	if s.backups == nil {
-		return errValue(errBackupsDisabled)
-	}
-	if len(args) != 0 {
-		return errValue("ERR usage: BSTAT")
-	}
+func (s *Server) cmdBackupStat(_ *connState, _ []string) Value {
 	mans, err := s.backups.List()
 	if err != nil {
 		return errValue("ERR " + err.Error())

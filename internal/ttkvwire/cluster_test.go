@@ -141,6 +141,13 @@ func TestClusterMovedRedirects(t *testing.T) {
 	if _, err := cl.History(theirs); !errors.As(err, &moved) {
 		t.Fatalf("foreign History = %v, want MOVED", err)
 	}
+	if times, err := cl.ModTimes(theirs); !errors.As(err, &moved) || moved.Leader != nodes[1].addr {
+		t.Fatalf("foreign ModTimes = %v, %v, want MOVED %s", times, err, nodes[1].addr)
+	}
+	// A multi-key read is refused whole on its first foreign key.
+	if times, err := cl.ModTimes(mine, theirs); !errors.As(err, &moved) {
+		t.Fatalf("owned+foreign ModTimes = %v, %v, want MOVED", times, err)
+	}
 
 	// A mixed MSET is refused whole: nothing lands, not even the local key.
 	muts := []ttkv.Mutation{

@@ -4,7 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"ocasta/internal/core"
+	"ocasta/internal/ttkv"
 )
 
 // FuzzReadValue feeds arbitrary bytes to the wire protocol parser and
@@ -61,6 +66,61 @@ func FuzzReadValue(f *testing.F) {
 		}
 		if !reflect.DeepEqual(v, v2) {
 			t.Fatalf("roundtrip altered value:\n in: %+v\nout: %+v\nbytes: %q", v, v2, buf.Bytes())
+		}
+	})
+}
+
+// FuzzDispatch feeds arbitrary requests — arrays of bulk strings, given
+// NUL-separated in the fuzz input — to the command dispatcher of a server
+// with cluster mode and analytics enabled. serveConn has no recover, so a
+// handler that indexes past its arity gate would take the whole daemon
+// down. The properties: no panic, and a reply that the codec serializes
+// as exactly one well-formed value. Replication stays off, so SYNC is
+// refused before its handler would take over the (absent) connection.
+func FuzzDispatch(f *testing.F) {
+	// One arity-valid and one short request per command; arguments are
+	// "1", which parses as every argument type (key, value, time, slot,
+	// count).
+	for _, c := range commandTable {
+		valid := append([]string{c.name}, slices.Repeat([]string{"1"}, c.min)...)
+		f.Add([]byte(strings.Join(valid, "\x00")))
+		if c.min > 0 {
+			f.Add([]byte(strings.Join(valid[:c.min], "\x00")))
+		}
+	}
+
+	store := ttkv.New()
+	engine := core.NewEngine(core.EngineConfig{})
+	store.SetStatsObserver(engine)
+	srv := NewServer(store)
+	srv.SetAnalytics(engine)
+	owned := []SlotRange{{Lo: 0, Hi: dispatchSlots/2 - 1}}
+	peers := []SlotRange{{Lo: dispatchSlots / 2, Hi: dispatchSlots - 1, Addr: dispatchPeer}}
+	if err := srv.EnableCluster(dispatchSlots, owned, peers); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Value
+		req.Kind = KindArray
+		for _, a := range strings.Split(string(data), "\x00") {
+			req.Array = append(req.Array, bulk(a))
+		}
+		resp := srv.dispatch(&connState{}, req)
+
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := WriteValue(bw, resp); err != nil {
+			t.Fatalf("reply %+v does not serialize: %v", resp, err)
+		}
+		bw.Flush()
+		br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
+		if _, err := ReadValue(br); err != nil {
+			t.Fatalf("reply bytes %q do not parse: %v", buf.Bytes(), err)
+		}
+		if br.Buffered() != 0 {
+			t.Fatalf("reply bytes %q hold more than one value", buf.Bytes())
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // Protocol errors.
@@ -70,10 +71,10 @@ func boolStr(b bool) string {
 func WriteValue(w *bufio.Writer, v Value) error {
 	switch v.Kind {
 	case KindSimple:
-		_, err := fmt.Fprintf(w, "+%s\r\n", v.Str)
+		_, err := fmt.Fprintf(w, "+%s\r\n", oneLine(v.Str))
 		return err
 	case KindError:
-		_, err := fmt.Fprintf(w, "-%s\r\n", v.Str)
+		_, err := fmt.Fprintf(w, "-%s\r\n", oneLine(v.Str))
 		return err
 	case KindInt:
 		_, err := fmt.Fprintf(w, ":%d\r\n", v.Int)
@@ -103,6 +104,16 @@ func WriteValue(w *bufio.Writer, v Value) error {
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrProtocol, v.Kind)
 	}
+}
+
+// oneLine turns LFs into spaces, so an error that echoes a client
+// argument cannot end its line early and desynchronize the client. A bare
+// CR cannot end a line, so every line ReadValue accepts passes unchanged.
+func oneLine(s string) string {
+	if strings.IndexByte(s, '\n') < 0 {
+		return s
+	}
+	return strings.ReplaceAll(s, "\n", " ")
 }
 
 // ReadValue parses one protocol value from r.

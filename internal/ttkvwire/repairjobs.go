@@ -219,10 +219,7 @@ func (s *Server) repairManager() *jobManager {
 // clustering instead of re-clustering), window ns, threshold f, start ns,
 // end ns, maxtrials n. Replies with the job id as a bulk string; poll it
 // with RSTAT and apply the confirmed fix with RFIX.
-func (s *Server) cmdRepair(args []string) Value {
-	if len(args) < 4 || len(args)%2 != 0 {
-		return errValue("ERR usage: REPAIR app trial fixed broken [opt val ...]")
-	}
+func (s *Server) cmdRepair(_ *connState, args []string) Value {
 	model := apps.ModelByName(args[0])
 	if model == nil {
 		return errValue("ERR repair: unknown app '" + args[0] + "'")
@@ -269,7 +266,7 @@ func (s *Server) cmdRepair(args []string) Value {
 	}
 	if live {
 		if s.analytics == nil {
-			return errValue(errAnalyticsDisabled)
+			return errValue(needAnalytics.refuse)
 		}
 		clusters, _ := s.analytics.Snapshot()
 		if len(clusters) == 0 {
@@ -296,10 +293,7 @@ func (s *Server) cmdRepair(args []string) Value {
 //	  :trialsDone  :totalTrials  :found  :fixAtNanos
 //	  *K offending cluster keys
 //	  *S screenshots, each *5: :trial :cluster :atNanos $hash $rendered
-func (s *Server) cmdRepairStat(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: RSTAT jobid")
-	}
+func (s *Server) cmdRepairStat(_ *connState, args []string) Value {
 	job, ok := s.repairManager().get(args[0])
 	if !ok {
 		return errValue("ERR repair: no such job '" + args[0] + "'")
@@ -341,10 +335,7 @@ func (s *Server) cmdRepairStat(args []string) Value {
 // cmdRepairFix handles RFIX id applyAtNanos: it atomically rolls the
 // job's offending cluster back to the fixed historical values (the user
 // confirmed the screenshot) and replies with the number of reverted keys.
-func (s *Server) cmdRepairFix(args []string) Value {
-	if len(args) != 2 {
-		return errValue("ERR usage: RFIX jobid unixnanos")
-	}
+func (s *Server) cmdRepairFix(_ *connState, args []string) Value {
 	at, err := parseNanos(args[1])
 	if err != nil || at.IsZero() {
 		return errValue("ERR bad timestamp: " + args[1])

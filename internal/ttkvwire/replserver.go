@@ -111,8 +111,8 @@ func (s *Server) replState() (rl *ttkv.ReplLog, cfg ReplicationConfig, runID str
 	return s.replLog, s.replCfg, s.runID
 }
 
-// SetReadOnly makes the server reject mutating commands (SET, MSET, DEL,
-// RFIX) with a typed READONLY/MOVED error: the replica role. Reads,
+// SetReadOnly makes the server reject the commands marked write in
+// commandTable with a typed READONLY/MOVED error: the replica role. Reads,
 // history, analytics (CLUSTERS/CORR), and repair diagnosis stay local;
 // only the fix must be applied on the primary. Safe at any time —
 // failover flips it on promotion and demotion.
@@ -178,38 +178,20 @@ func (s *Server) removeReplSession(sess *replSession) {
 	s.mu.Unlock()
 }
 
-// isMutating reports whether cmd writes to the store.
-func isMutating(cmd string) bool {
-	switch cmd {
-	case "SET", "MSET", "DEL", "RFIX", "MIGAPPLY":
-		return true
-	}
-	return false
-}
-
-// trySync handles a SYNC request: on a successful handshake it takes the
-// connection over as a push stream and only returns when the feed ends
-// (replica gone, outbox overflow, or server shutdown), reporting
-// streamed=true: the connection is no longer in the request/response
-// protocol and must be closed. On a refused handshake the error reply has
-// been written and the connection continues serving normal requests.
-func (s *Server) trySync(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, args []string) (streamed bool) {
-	refuse := func(msg string) bool {
-		if err := WriteValue(bw, errValue(msg)); err != nil {
-			return true // connection is broken; stop serving it
-		}
-		return bw.Flush() != nil
-	}
+// cmdSync serves SYNC afterSeq runid [replicaid]. A successful handshake
+// takes the connection over as a push stream and only returns when the
+// feed ends (replica gone, outbox overflow, or server shutdown), marking
+// the connection detached: it has left the request/response protocol and
+// must be closed. A refused handshake is an ordinary error reply and the
+// connection goes on serving requests.
+func (s *Server) cmdSync(cs *connState, args []string) Value {
 	rl, cfg, runID := s.replState()
 	if rl == nil {
-		return refuse("ERR replication not enabled on this server")
-	}
-	if len(args) != 2 && len(args) != 3 {
-		return refuse("ERR usage: SYNC afterSeq runid [replicaid]")
+		return errValue(needReplication.refuse) // demoted since the gate ran
 	}
 	afterSeq, err := strconv.ParseUint(args[0], 10, 64)
 	if err != nil {
-		return refuse("ERR bad afterSeq: " + args[0])
+		return errValue("ERR bad afterSeq: " + args[0])
 	}
 	replicaID := ""
 	if len(args) == 3 {
@@ -228,8 +210,10 @@ func (s *Server) trySync(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, args
 	sub, from := rl.Subscribe(cfg.OutboxBytes)
 	if afterSeq > from {
 		sub.Close()
-		return refuse(fmt.Sprintf("ERR replica ahead of primary (afterSeq %d > durable %d)", afterSeq, from))
+		return errValue(fmt.Sprintf("ERR replica ahead of primary (afterSeq %d > durable %d)", afterSeq, from))
 	}
+	cs.detached = true
+	conn, br, bw := cs.conn, cs.br, cs.bw
 	status := "CONTINUE"
 	if !resume {
 		status = "FULLRESYNC"
@@ -238,11 +222,11 @@ func (s *Server) trySync(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, args
 	// replicas ignore unknown trailing fields.
 	if err := WriteValue(bw, simple(fmt.Sprintf("%s %s %d %d", status, runID, from, rl.Epoch()))); err != nil {
 		sub.Close()
-		return true
+		return Value{}
 	}
 	if err := bw.Flush(); err != nil {
 		sub.Close()
-		return true
+		return Value{}
 	}
 
 	sess := &replSession{addr: conn.RemoteAddr().String(), sub: sub, replicaID: replicaID}
@@ -275,7 +259,7 @@ func (s *Server) trySync(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, args
 	sub.Close()
 	conn.Close() // unblocks the ack reader if it has not errored yet
 	<-ackDone
-	return true
+	return Value{}
 }
 
 // streamFeed ships the snapshot range (afterSeq, from] and then the live
@@ -382,10 +366,7 @@ func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, rl *ttkv.ReplLog, c
 //	                per replica *6: $addr, $state, :acked, :sent, :lagRecords, :lagBytes
 //	role "replica": *7  $replica, $primaryAddr, $state, :appliedSeq,
 //	                :primaryDurableSeq, :lagRecords, :reconnects
-func (s *Server) cmdReplStat(args []string) Value {
-	if len(args) != 0 {
-		return errValue("ERR usage: REPLSTAT")
-	}
+func (s *Server) cmdReplStat(_ *connState, args []string) Value {
 	s.mu.Lock()
 	stat := s.replicaStat
 	s.mu.Unlock()

@@ -41,9 +41,6 @@ func (s *Server) SetSemiSync(cfg SemiSyncConfig) {
 // max(server default, connection value), so a connection can strengthen
 // but never weaken the operator's configured floor.
 func (s *Server) cmdSemiSync(cs *connState, args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: SEMISYNC acks")
-	}
 	k, err := strconv.Atoi(args[0])
 	if err != nil || k < 0 {
 		return errValue("ERR bad acks count: " + args[0])

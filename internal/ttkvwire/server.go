@@ -189,22 +189,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	cs := &connState{}
+	cs := &connState{conn: conn, br: br, bw: bw}
 	for {
 		req, err := ReadValue(br)
 		if err != nil {
 			return // connection dropped or garbage; just hang up
 		}
-		// SYNC is the one command that abandons request/response: a
-		// successful handshake turns the connection into a replication
-		// feed that this handler drives until the replica goes away.
-		if args, ok := syncArgs(req); ok {
-			if s.trySync(conn, br, bw, args) {
-				return
-			}
-			continue
-		}
 		resp := s.dispatch(cs, req)
+		if cs.detached {
+			return // a SYNC feed took the connection over and has ended
+		}
 		if err := WriteValue(bw, resp); err != nil {
 			return
 		}
@@ -219,28 +213,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// syncArgs reports whether req is a SYNC command and returns its
-// arguments if so.
-func syncArgs(req Value) ([]string, bool) {
-	if req.Kind != KindArray || len(req.Array) == 0 || req.Array[0].Kind != KindBulk {
-		return nil, false
-	}
-	if !strings.EqualFold(req.Array[0].Str, "SYNC") {
-		return nil, false
-	}
-	args := make([]string, 0, len(req.Array)-1)
-	for _, v := range req.Array[1:] {
-		if v.Kind != KindBulk {
-			return nil, false
-		}
-		args = append(args, v.Str)
-	}
-	return args, true
-}
-
 // connState is per-connection dispatch state: session-scoped protocol
-// options negotiated by the client (currently the SEMISYNC ack override)
-// plus the per-command write watermark the semi-sync gate waits on.
+// options negotiated by the client (currently the SEMISYNC ack override),
+// the per-command write watermark the semi-sync gate waits on, and the
+// transport for the one command (SYNC) that takes the connection over.
 type connState struct {
 	// semiAcks is the connection's semi-sync ack requirement; 0 means no
 	// override (the server-wide default applies). The effective K per
@@ -252,6 +228,114 @@ type connState struct {
 	// waits for replicas to ack exactly this seq — not the store-wide
 	// watermark, which concurrent writers inflate.
 	lastWriteSeq uint64
+
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	// detached is set once SYNC has turned the connection into a
+	// replication feed: it has left request/response and must be closed.
+	detached bool
+}
+
+// keyArgs says which arguments of a command are keys, for the cluster
+// slot check.
+type keyArgs uint8
+
+const (
+	keyNone    keyArgs = iota // not keyed, or node-local (KEYS, STATS, ...)
+	keyFirst                  // the first argument
+	keyTriples                // the first of every complete triple (MSET)
+	keyAll                    // every argument (MODTIMES)
+)
+
+// variadic is a command's max argument count when it has none.
+const variadic = -1
+
+// A subsystem is an optional server component some commands need; call
+// refuses them with its refuse text, ahead of their arity check, while it
+// is off.
+type subsystem struct {
+	off    func(*Server) bool
+	refuse string
+}
+
+var (
+	needAnalytics = &subsystem{func(s *Server) bool { return s.analytics == nil },
+		"ERR analytics disabled (run ttkvd with -recluster-interval > 0)"}
+	needBackups = &subsystem{func(s *Server) bool { return s.backups == nil },
+		"ERR backups disabled (run ttkvd with -backup-dir)"}
+	needReplication = &subsystem{func(s *Server) bool { rl, _, _ := s.replState(); return rl == nil },
+		"ERR replication not enabled on this server"}
+)
+
+// command is everything the dispatcher knows about one wire command.
+type command struct {
+	name string // upper case
+	// min, max and step bound the argument count n (verb excluded):
+	// min <= n <= max (max may be variadic) and, when step is set,
+	// (n-min) is a multiple of step.
+	min, max, step int
+	usage          string // the reply to a bad argument count
+	// write marks a store mutation: it runs under migMu, is refused on a
+	// fenced slot and on a read-only node, and its success reply waits on
+	// the semi-sync gate.
+	write bool
+	keys  keyArgs
+	needs *subsystem // nil: always available
+	run   func(s *Server, cs *connState, args []string) Value
+}
+
+// commandTable is the wire command set, one entry per command. dispatch
+// runs an entry's gates in a fixed order. A write takes migMu for read,
+// passes the slot and fence check and the read-only check, runs, drops
+// migMu and then waits on the semi-sync gate; a read passes the slot
+// check and runs. Running is the availability check, then arity, then
+// the handler — so a malformed write for a foreign slot gets MOVED, not
+// a usage error.
+var commandTable = [...]command{
+	{name: "PING", max: variadic, run: func(*Server, *connState, []string) Value { return simple("PONG") }},
+	{name: "SET", min: 3, max: 3, usage: "ERR usage: SET key value unixnanos", write: true, keys: keyFirst, run: (*Server).cmdSet},
+	{name: "MSET", min: 3, max: variadic, step: 3, usage: "ERR usage: MSET key value unixnanos [key value unixnanos ...]", write: true, keys: keyTriples, run: (*Server).cmdMSet},
+	{name: "DEL", min: 2, max: 2, usage: "ERR usage: DEL key unixnanos", write: true, keys: keyFirst, run: (*Server).cmdDel},
+	{name: "GET", min: 1, max: 1, usage: "ERR usage: GET key", keys: keyFirst, run: (*Server).cmdGet},
+	{name: "GETAT", min: 2, max: 2, usage: "ERR usage: GETAT key unixnanos", keys: keyFirst, run: (*Server).cmdGetAt},
+	{name: "HIST", min: 1, max: 1, usage: "ERR usage: HIST key", keys: keyFirst, run: (*Server).cmdHist},
+	{name: "KEYS", usage: "ERR usage: KEYS", run: (*Server).cmdKeys},
+	{name: "MODCOUNT", min: 1, max: 1, usage: "ERR usage: MODCOUNT key", keys: keyFirst, run: (*Server).cmdModCount},
+	{name: "MODTIMES", min: 1, max: variadic, usage: "ERR usage: MODTIMES key [key...]", keys: keyAll, run: (*Server).cmdModTimes},
+	{name: "STATS", usage: "ERR usage: STATS", run: (*Server).cmdStats},
+	{name: "CLUSTERS", max: 1, usage: "ERR usage: CLUSTERS [minsize]", needs: needAnalytics, run: (*Server).cmdClusters},
+	{name: "CORR", min: 2, max: 2, usage: "ERR usage: CORR keyA keyB", needs: needAnalytics, run: (*Server).cmdCorr},
+	{name: "REPAIR", min: 4, max: variadic, step: 2, usage: "ERR usage: REPAIR app trial fixed broken [opt val ...]", run: (*Server).cmdRepair},
+	{name: "RSTAT", min: 1, max: 1, usage: "ERR usage: RSTAT jobid", run: (*Server).cmdRepairStat},
+	{name: "RFIX", min: 2, max: 2, usage: "ERR usage: RFIX jobid unixnanos", write: true, run: (*Server).cmdRepairFix},
+	{name: "REPLSTAT", usage: "ERR usage: REPLSTAT", run: (*Server).cmdReplStat},
+	{name: "SYNC", min: 2, max: 3, usage: "ERR usage: SYNC afterSeq runid [replicaid]", needs: needReplication, run: (*Server).cmdSync},
+	{name: "BACKUP", max: 1, usage: "ERR usage: BACKUP [AUTO|FULL|INCR]", needs: needBackups, run: (*Server).cmdBackup},
+	{name: "BSTAT", usage: "ERR usage: BSTAT", needs: needBackups, run: (*Server).cmdBackupStat},
+	{name: "TOPO", usage: "ERR usage: TOPO", run: (*Server).cmdTopo},
+	{name: "SEMISYNC", min: 1, max: 1, usage: "ERR usage: SEMISYNC acks", run: (*Server).cmdSemiSync},
+	{name: "MIGSTART", min: 2, max: 2, usage: "ERR usage: MIGSTART slot sourceRunID", run: (*Server).cmdMigStart},
+	{name: "MIGDUMP", min: 3, max: 3, usage: "ERR usage: MIGDUMP slot afterSeq limit", run: (*Server).cmdMigDump},
+	// MIGAPPLY has no key check: the target applies records for a slot it
+	// does not own yet.
+	{name: "MIGAPPLY", min: 6, max: variadic, step: 5, usage: "ERR usage: MIGAPPLY slot [srcseq key value unixnanos deleted ...]", write: true, run: (*Server).cmdMigApply},
+	{name: "MIGFENCE", min: 1, max: 1, usage: "ERR usage: MIGFENCE slot", run: (*Server).cmdMigFence},
+	{name: "MIGABORT", min: 1, max: 1, usage: "ERR usage: MIGABORT slot", run: (*Server).cmdMigAbort},
+	{name: "MIGTAKE", min: 1, max: 1, usage: "ERR usage: MIGTAKE slot", run: (*Server).cmdMigTake},
+	{name: "MIGFLIP", min: 2, max: 2, usage: "ERR usage: MIGFLIP slot newOwnerAddr", run: (*Server).cmdMigFlip},
+}
+
+// commands indexes commandTable by name. init fills it because the
+// handlers that reject an argument with their own usage text (BACKUP,
+// MIGFLIP) look it up here, which a static initializer would make a
+// reference cycle.
+var commands = map[string]*command{}
+
+func init() {
+	for i := range commandTable {
+		commands[commandTable[i].name] = &commandTable[i]
+	}
 }
 
 func (s *Server) dispatch(cs *connState, req Value) Value {
@@ -265,102 +349,52 @@ func (s *Server) dispatch(cs *connState, req Value) Value {
 		}
 		args[i] = v.Str
 	}
-	cmd := strings.ToUpper(args[0])
-	if isMutating(cmd) {
-		// The cluster state must be loaded under migMu: MIGFENCE swaps in
-		// the fenced state and then write-locks migMu, so any write that
-		// saw the pre-fence state has finished (minted its seq) before the
-		// fence replies, and any write admitted afterwards sees the fence.
-		s.migMu.RLock()
-		if cl := s.cluster.Load(); cl != nil {
-			if rej, refused := s.clusterCheck(cl, cmd, args, true); refused {
-				s.migMu.RUnlock()
-				return rej
-			}
-		}
-		if s.readOnly.Load() {
-			s.migMu.RUnlock()
-			return readOnlyReply(s.LeaderHint())
-		}
-		cs.lastWriteSeq = 0
-		resp := s.dispatchCmd(cs, cmd, args)
-		s.migMu.RUnlock()
-		if resp.Kind != KindError {
-			if gateErr, ok := s.semiSyncGate(cs); !ok {
-				return gateErr
-			}
-		}
-		return resp
+	name := strings.ToUpper(args[0])
+	c := commands[name]
+	if c == nil {
+		return errValue("ERR unknown command '" + name + "'")
 	}
-	if cl := s.cluster.Load(); cl != nil {
-		if rej, refused := s.clusterCheck(cl, cmd, args, false); refused {
+	args = args[1:]
+	if !c.write {
+		if rej, refused := s.clusterCheck(c, args); refused {
 			return rej
 		}
+		return s.call(cs, c, args)
 	}
-	return s.dispatchCmd(cs, cmd, args)
+	// The cluster state must be loaded under migMu: MIGFENCE swaps in the
+	// fenced state and then write-locks migMu, so any write that saw the
+	// pre-fence state has finished (minted its seq) before the fence
+	// replies, and any write admitted afterwards sees the fence.
+	s.migMu.RLock()
+	if rej, refused := s.clusterCheck(c, args); refused {
+		s.migMu.RUnlock()
+		return rej
+	}
+	if s.readOnly.Load() {
+		s.migMu.RUnlock()
+		return readOnlyReply(s.LeaderHint())
+	}
+	cs.lastWriteSeq = 0
+	resp := s.call(cs, c, args)
+	s.migMu.RUnlock()
+	if resp.Kind != KindError {
+		if gateErr, ok := s.semiSyncGate(cs); !ok {
+			return gateErr
+		}
+	}
+	return resp
 }
 
-func (s *Server) dispatchCmd(cs *connState, cmd string, args []string) Value {
-	switch cmd {
-	case "PING":
-		return simple("PONG")
-	case "SET":
-		return s.cmdSet(cs, args[1:])
-	case "MSET":
-		return s.cmdMSet(cs, args[1:])
-	case "DEL":
-		return s.cmdDel(cs, args[1:])
-	case "GET":
-		return s.cmdGet(args[1:])
-	case "GETAT":
-		return s.cmdGetAt(args[1:])
-	case "HIST":
-		return s.cmdHist(args[1:])
-	case "KEYS":
-		return s.cmdKeys(args[1:])
-	case "MODCOUNT":
-		return s.cmdModCount(args[1:])
-	case "MODTIMES":
-		return s.cmdModTimes(args[1:])
-	case "STATS":
-		return s.cmdStats(args[1:])
-	case "CLUSTERS":
-		return s.cmdClusters(args[1:])
-	case "CORR":
-		return s.cmdCorr(args[1:])
-	case "REPAIR":
-		return s.cmdRepair(args[1:])
-	case "RSTAT":
-		return s.cmdRepairStat(args[1:])
-	case "RFIX":
-		return s.cmdRepairFix(args[1:])
-	case "REPLSTAT":
-		return s.cmdReplStat(args[1:])
-	case "BACKUP":
-		return s.cmdBackup(args[1:])
-	case "BSTAT":
-		return s.cmdBackupStat(args[1:])
-	case "TOPO":
-		return s.cmdTopo(args[1:])
-	case "SEMISYNC":
-		return s.cmdSemiSync(cs, args[1:])
-	case "MIGSTART":
-		return s.cmdMigStart(args[1:])
-	case "MIGDUMP":
-		return s.cmdMigDump(args[1:])
-	case "MIGAPPLY":
-		return s.cmdMigApply(cs, args[1:])
-	case "MIGFENCE":
-		return s.cmdMigFence(args[1:])
-	case "MIGABORT":
-		return s.cmdMigAbort(args[1:])
-	case "MIGTAKE":
-		return s.cmdMigTake(args[1:])
-	case "MIGFLIP":
-		return s.cmdMigFlip(args[1:])
-	default:
-		return errValue("ERR unknown command '" + cmd + "'")
+// call runs c's handler once its availability and arity gates pass.
+func (s *Server) call(cs *connState, c *command, args []string) Value {
+	if c.needs != nil && c.needs.off(s) {
+		return errValue(c.needs.refuse)
 	}
+	n := len(args)
+	if n < c.min || (c.max != variadic && n > c.max) || (c.step > 0 && (n-c.min)%c.step != 0) {
+		return errValue(c.usage)
+	}
+	return c.run(s, cs, args)
 }
 
 func parseNanos(s string) (time.Time, error) {
@@ -372,9 +406,6 @@ func parseNanos(s string) (time.Time, error) {
 }
 
 func (s *Server) cmdSet(cs *connState, args []string) Value {
-	if len(args) != 3 {
-		return errValue("ERR usage: SET key value unixnanos")
-	}
 	t, err := parseNanos(args[2])
 	if err != nil {
 		return errValue("ERR bad timestamp: " + err.Error())
@@ -388,9 +419,6 @@ func (s *Server) cmdSet(cs *connState, args []string) Value {
 }
 
 func (s *Server) cmdMSet(cs *connState, args []string) Value {
-	if len(args) == 0 || len(args)%3 != 0 {
-		return errValue("ERR usage: MSET key value unixnanos [key value unixnanos ...]")
-	}
 	muts := make([]ttkv.Mutation, 0, len(args)/3)
 	for i := 0; i < len(args); i += 3 {
 		t, err := parseNanos(args[i+2])
@@ -413,9 +441,6 @@ func (s *Server) cmdMSet(cs *connState, args []string) Value {
 }
 
 func (s *Server) cmdDel(cs *connState, args []string) Value {
-	if len(args) != 2 {
-		return errValue("ERR usage: DEL key unixnanos")
-	}
 	t, err := parseNanos(args[1])
 	if err != nil {
 		return errValue("ERR bad timestamp: " + err.Error())
@@ -428,10 +453,7 @@ func (s *Server) cmdDel(cs *connState, args []string) Value {
 	return simple("OK")
 }
 
-func (s *Server) cmdGet(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: GET key")
-	}
+func (s *Server) cmdGet(_ *connState, args []string) Value {
 	v, ok := s.store.Get(args[0])
 	if !ok {
 		return nilValue()
@@ -439,10 +461,7 @@ func (s *Server) cmdGet(args []string) Value {
 	return bulk(v)
 }
 
-func (s *Server) cmdGetAt(args []string) Value {
-	if len(args) != 2 {
-		return errValue("ERR usage: GETAT key unixnanos")
-	}
+func (s *Server) cmdGetAt(_ *connState, args []string) Value {
 	t, err := parseNanos(args[1])
 	if err != nil {
 		return errValue("ERR bad timestamp: " + err.Error())
@@ -461,10 +480,7 @@ func versionValue(v ttkv.Version) Value {
 	return array(bulkInt(v.Time.UnixNano()), bulkBool(v.Deleted), bulk(v.Value))
 }
 
-func (s *Server) cmdHist(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: HIST key")
-	}
+func (s *Server) cmdHist(_ *connState, args []string) Value {
 	hist, err := s.store.History(args[0])
 	if err != nil {
 		if errors.Is(err, ttkv.ErrNoKey) {
@@ -479,10 +495,7 @@ func (s *Server) cmdHist(args []string) Value {
 	return array(out...)
 }
 
-func (s *Server) cmdKeys(args []string) Value {
-	if len(args) != 0 {
-		return errValue("ERR usage: KEYS")
-	}
+func (s *Server) cmdKeys(_ *connState, _ []string) Value {
 	keys := s.store.Keys()
 	out := make([]Value, len(keys))
 	for i, k := range keys {
@@ -491,17 +504,11 @@ func (s *Server) cmdKeys(args []string) Value {
 	return array(out...)
 }
 
-func (s *Server) cmdModCount(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: MODCOUNT key")
-	}
+func (s *Server) cmdModCount(_ *connState, args []string) Value {
 	return intValue(int64(s.store.ModCount(args[0])))
 }
 
-func (s *Server) cmdModTimes(args []string) Value {
-	if len(args) == 0 {
-		return errValue("ERR usage: MODTIMES key [key...]")
-	}
+func (s *Server) cmdModTimes(_ *connState, args []string) Value {
 	times := s.store.ModTimes(args)
 	out := make([]Value, len(times))
 	for i, t := range times {
@@ -509,10 +516,6 @@ func (s *Server) cmdModTimes(args []string) Value {
 	}
 	return array(out...)
 }
-
-// errAnalyticsDisabled is the reply to CLUSTERS/CORR when the server has
-// no engine attached (ttkvd run with -recluster-interval 0).
-const errAnalyticsDisabled = "ERR analytics disabled (run ttkvd with -recluster-interval > 0)"
 
 // cmdClusters serves the engine's last published clustering: a snapshot
 // with bounded staleness (one recluster interval plus any still-open
@@ -525,13 +528,7 @@ const errAnalyticsDisabled = "ERR analytics disabled (run ttkvd with -recluster-
 //
 // An optional minsize argument filters to clusters with at least that
 // many member keys (2 = the paper's multi-key clusters).
-func (s *Server) cmdClusters(args []string) Value {
-	if s.analytics == nil {
-		return errValue(errAnalyticsDisabled)
-	}
-	if len(args) > 1 {
-		return errValue("ERR usage: CLUSTERS [minsize]")
-	}
+func (s *Server) cmdClusters(_ *connState, args []string) Value {
 	minSize := 0
 	if len(args) == 1 {
 		n, err := strconv.Atoi(args[0])
@@ -565,21 +562,12 @@ func (s *Server) cmdClusters(args []string) Value {
 // cmdCorr serves the live pairwise correlation of two keys, reflecting
 // every closed co-modification group (no recluster needed). The reply is
 // a bulk string holding the float in Go 'g' format, in [0, 2].
-func (s *Server) cmdCorr(args []string) Value {
-	if s.analytics == nil {
-		return errValue(errAnalyticsDisabled)
-	}
-	if len(args) != 2 {
-		return errValue("ERR usage: CORR keyA keyB")
-	}
+func (s *Server) cmdCorr(_ *connState, args []string) Value {
 	corr := s.analytics.Correlation(args[0], args[1])
 	return bulk(strconv.FormatFloat(corr, 'g', -1, 64))
 }
 
-func (s *Server) cmdStats(args []string) Value {
-	if len(args) != 0 {
-		return errValue("ERR usage: STATS")
-	}
+func (s *Server) cmdStats(_ *connState, _ []string) Value {
 	st := s.store.Stats()
 	return array(
 		intValue(int64(st.Keys)),

@@ -203,37 +203,40 @@ func (s *Server) updateCluster(f func(cl *clusterState) error) error {
 	return nil
 }
 
-// clusterCheck enforces slot ownership: single-key commands and batch
-// writes for slots this node does not own are refused with MOVED naming
-// the owner; writes to a fenced (migrating) slot get RETRY. Returns
-// (reply, true) when the command must be refused. Multi-key commands
-// other than MSET (KEYS, STATS, CLUSTERS, ...) stay node-local; clients
-// merge across nodes. MIGAPPLY is exempt — the target applies records
-// for a slot it does not own yet.
-func (s *Server) clusterCheck(cl *clusterState, cmd string, args []string, mutating bool) (Value, bool) {
+// clusterCheck enforces slot ownership on c's key arguments (see
+// keyArgs): keys in slots this node does not own are refused with MOVED
+// naming the owner; writes to a fenced (migrating) slot get RETRY.
+// Returns (reply, true) when the command must be refused. Multi-key
+// commands that are not keyed (KEYS, STATS, CLUSTERS, ...) stay
+// node-local; clients merge across nodes.
+func (s *Server) clusterCheck(c *command, args []string) (Value, bool) {
+	cl := s.cluster.Load()
+	if cl == nil || c.keys == keyNone {
+		return Value{}, false
+	}
 	check := func(key string) (Value, bool) {
 		slot := ttkv.KeySlot(key, cl.slots)
 		if cl.owned[slot] {
-			if mutating && cl.fenced[slot] {
+			if c.write && cl.fenced[slot] {
 				return retryReply(fmt.Sprintf("slot %d migrating", slot)), true
 			}
 			return Value{}, false
 		}
 		return movedReply(cl.owner[slot], slot), true
 	}
-	switch cmd {
-	case "SET", "DEL", "GET", "GETAT", "HIST", "MODCOUNT":
-		if len(args) >= 2 {
-			return check(args[1])
-		}
-	case "MSET":
-		// Refuse the whole batch on the first foreign key, before anything
-		// applies, so a cross-node MSET never half-lands here: the
-		// slot-aware client re-partitions and resends.
-		for i := 1; i+2 < len(args); i += 3 {
-			if v, refused := check(args[i]); refused {
-				return v, true
-			}
+	// Multi-key commands are refused whole on the first foreign key,
+	// before anything applies, so a cross-node MSET never half-lands
+	// here: the slot-aware client re-partitions and resends.
+	step, last := 1, len(args)
+	switch c.keys {
+	case keyFirst:
+		last = min(last, 1)
+	case keyTriples:
+		step, last = 3, len(args)-2
+	}
+	for i := 0; i < last; i += step {
+		if v, refused := check(args[i]); refused {
+			return v, true
 		}
 	}
 	return Value{}, false
@@ -277,10 +280,7 @@ type migSession struct {
 	present     map[verKey]struct{}
 }
 
-func (s *Server) cmdMigStart(args []string) Value {
-	if len(args) != 2 {
-		return errValue("ERR usage: MIGSTART slot sourceRunID")
-	}
+func (s *Server) cmdMigStart(_ *connState, args []string) Value {
 	cl := s.cluster.Load()
 	if cl == nil {
 		return errValue("ERR cluster mode not enabled")
@@ -315,10 +315,7 @@ func (s *Server) cmdMigStart(args []string) Value {
 	return intValue(int64(sess.watermark))
 }
 
-func (s *Server) cmdMigDump(args []string) Value {
-	if len(args) != 3 {
-		return errValue("ERR usage: MIGDUMP slot afterSeq limit")
-	}
+func (s *Server) cmdMigDump(_ *connState, args []string) Value {
 	cl := s.cluster.Load()
 	if cl == nil {
 		return errValue("ERR cluster mode not enabled")
@@ -353,9 +350,6 @@ func (s *Server) cmdMigDump(args []string) Value {
 }
 
 func (s *Server) cmdMigApply(cs *connState, args []string) Value {
-	if len(args) < 6 || (len(args)-1)%5 != 0 {
-		return errValue("ERR usage: MIGAPPLY slot [srcseq key value unixnanos deleted ...]")
-	}
 	slot, err := strconv.Atoi(args[0])
 	if err != nil || slot < 0 {
 		return errValue("ERR bad slot")
@@ -438,10 +432,7 @@ func (s *Server) cmdMigApply(cs *connState, args []string) Value {
 	return intValue(int64(applied))
 }
 
-func (s *Server) cmdMigFence(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: MIGFENCE slot")
-	}
+func (s *Server) cmdMigFence(_ *connState, args []string) Value {
 	slot, err := strconv.Atoi(args[0])
 	if err != nil || slot < 0 {
 		return errValue("ERR bad slot")
@@ -465,10 +456,7 @@ func (s *Server) cmdMigFence(args []string) Value {
 	return simple("OK")
 }
 
-func (s *Server) cmdMigAbort(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: MIGABORT slot")
-	}
+func (s *Server) cmdMigAbort(_ *connState, args []string) Value {
 	slot, err := strconv.Atoi(args[0])
 	if err != nil || slot < 0 {
 		return errValue("ERR bad slot")
@@ -485,10 +473,7 @@ func (s *Server) cmdMigAbort(args []string) Value {
 	return simple("OK")
 }
 
-func (s *Server) cmdMigTake(args []string) Value {
-	if len(args) != 1 {
-		return errValue("ERR usage: MIGTAKE slot")
-	}
+func (s *Server) cmdMigTake(_ *connState, args []string) Value {
 	slot, err := strconv.Atoi(args[0])
 	if err != nil || slot < 0 {
 		return errValue("ERR bad slot")
@@ -507,9 +492,9 @@ func (s *Server) cmdMigTake(args []string) Value {
 	return simple("OK")
 }
 
-func (s *Server) cmdMigFlip(args []string) Value {
-	if len(args) != 2 || args[1] == "" {
-		return errValue("ERR usage: MIGFLIP slot newOwnerAddr")
+func (s *Server) cmdMigFlip(_ *connState, args []string) Value {
+	if args[1] == "" {
+		return errValue(commands["MIGFLIP"].usage)
 	}
 	slot, err := strconv.Atoi(args[0])
 	if err != nil || slot < 0 {

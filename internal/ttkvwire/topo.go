@@ -137,10 +137,7 @@ func (s *Server) currentTopology() Topology {
 // either form):
 //
 //	*10 ..., $slotCount, *M "lo-hi=addr" slot ranges
-func (s *Server) cmdTopo(args []string) Value {
-	if len(args) != 0 {
-		return errValue("ERR usage: TOPO")
-	}
+func (s *Server) cmdTopo(_ *connState, _ []string) Value {
 	t := s.currentTopology()
 	peers := make([]Value, len(t.Peers))
 	for i, p := range t.Peers {
