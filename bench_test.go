@@ -145,8 +145,7 @@ func benchLinkage(b *testing.B, linkage core.Linkage) {
 	b.Helper()
 	m := apps.Acrobat()
 	res := workload.Generate(workload.StudyUsage(m, 108))
-	w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-	ps := core.NewPairStats(w.GroupTrace(res.Trace.ByApp(m.Name)))
+	ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, trace.DefaultWindow)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clusters := core.NewClusterer(linkage).Cluster(ps, core.DefaultThreshold)
@@ -196,8 +195,7 @@ func BenchmarkAblationSecondGranularity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, window := range []time.Duration{0, time.Second} {
-			w := trace.NewWindower(window, trace.GroupAnchored)
-			ps := core.NewPairStats(w.GroupTrace(tr))
+			ps := core.StatsOf(tr.Events, window)
 			core.NewClusterer(core.LinkageComplete).Cluster(ps, core.DefaultThreshold)
 		}
 	}
@@ -214,8 +212,7 @@ func BenchmarkClusteringPipeline(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-		ps := core.NewPairStats(w.GroupTrace(tr))
+		ps := core.StatsOf(tr.Events, trace.DefaultWindow)
 		core.NewClusterer(core.LinkageComplete).Cluster(ps, core.DefaultThreshold)
 	}
 }

@@ -97,8 +97,7 @@ func runCluster(args []string) int {
 		fmt.Fprintln(os.Stderr, "ocasta:", err)
 		return 1
 	}
-	w := trace.NewWindower(*window, trace.GroupAnchored)
-	ps := core.NewPairStats(w.GroupTrace(tr.ByApp(*app)))
+	ps := core.StatsOf(tr.ByApp(*app).Events, *window)
 	clusters := core.NewClusterer(link).
 		WithParallelism(*parallelism).
 		Cluster(ps, core.ThresholdFromCorrelation(*threshold))

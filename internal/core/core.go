@@ -5,7 +5,9 @@
 // The pipeline is:
 //
 //  1. A sliding time window turns the write stream into co-modification
-//     groups (package trace).
+//     groups (trace.StreamWindower), each folded into pair statistics as
+//     it closes (PairStats.Add). Engine runs this live; StatsOf runs it
+//     over a recorded event list.
 //  2. For every pair of keys a correlation metric is computed:
 //     corr(A,B) = |A∩B|/|A| + |A∩B|/|B|, where |A| counts the episodes in
 //     which A was modified and |A∩B| the episodes modifying both. The
@@ -22,7 +24,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"time"
 
 	"ocasta/internal/trace"
 )
@@ -66,12 +70,12 @@ func ThresholdFromCorrelation(corr float64) float64 {
 // it without ever materialising the group slice. Keys are interned into a
 // growable symbol table on first sight; pair counts live in an
 // open-addressed table keyed by the packed id pair (see pairCounter) —
-// the batch pipeline's map[pair]int here was the hottest allocation site
-// of the whole analytics path.
+// a map[pair]int here was once the hottest allocation site of the whole
+// analytics path.
 //
 // Internally ids follow interning (arrival) order, but every clustering-
 // facing accessor works in *sorted-key* id space through a lazily
-// maintained permutation, so dendrograms, tie-breaks, and node ids are
+// maintained permutation, so merge trees, tie-breaks, and node ids are
 // bit-identical to building the stats from scratch over sorted keys.
 // PairStats is not safe for concurrent use.
 type PairStats struct {
@@ -90,6 +94,26 @@ type PairStats struct {
 	inv  []int // interned id -> sorted id
 
 	scratch []int // Add's group id buffer, reused across calls
+}
+
+// StatsOf windows a recorded event list and folds every co-modification
+// group into fresh pair statistics: the one-shot form of the engine's
+// pipeline (StreamWindower → PairStats.Add), for traces already in hand.
+// The events need not be sorted and are not modified: StatsOf stable-sorts
+// a copy by time and pushes it through an anchored StreamWindower with a
+// zero reorder horizon, so each application's writes are windowed on
+// their own, in order. Reads are ignored; a negative window is treated
+// as zero.
+func StatsOf(events []trace.Event, window time.Duration) *PairStats {
+	evs := slices.Clone(events)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	ps := NewPairStats(nil)
+	sw := trace.NewStreamWindower(window, trace.GroupAnchored, 0, func(g *trace.Group) { ps.Add(*g) })
+	for _, ev := range evs {
+		sw.Push(ev)
+	}
+	sw.Flush()
+	return ps
 }
 
 // NewPairStats builds pair statistics from co-modification groups.
@@ -233,17 +257,6 @@ func (ps *PairStats) correlationByIndex(i, j int) float64 {
 
 // keyBySorted returns the key name of a sorted-space id.
 func (ps *PairStats) keyBySorted(i int) string { return ps.syms[ps.perm[i]] }
-
-// fillLeafStats copies per-key episode counts and last-modification times
-// into sorted-space-indexed slices (the per-leaf statistics a dendrogram
-// or cluster carries).
-func (ps *PairStats) fillLeafStats(mod []int, last []int64) {
-	ps.ensureSorted()
-	for i, id := range ps.perm {
-		mod[i] = ps.ep[id]
-		last[i] = ps.last[id]
-	}
-}
 
 // adjacency returns, per sorted-space key id, the set of neighbours with
 // non-zero co-modification counts. HAC decomposes over the connected

@@ -68,12 +68,13 @@ type clusterSnapshot struct {
 // connected components whose statistics changed since the last cut and
 // splicing cached clusters for the untouched ones, so periodic
 // reclustering of a mostly-stable key universe costs a small fraction of
-// a full batch run.
+// a full Cluster run.
 //
 // The contract is equivalence with bounded staleness: after Flush, the
-// next Recluster's output is byte-identical to running the batch pipeline
-// (Windower.GroupTrace → NewPairStats → Clusterer.Cluster) over the same
-// event set. Mid-stream, the clustering lags the write stream by at most
+// next Recluster's output is byte-identical to StatsOf + Clusterer.Cluster
+// over the same event set (in chained mode, which StatsOf does not offer,
+// to the same events pushed in time order through a zero-horizon
+// windower). Mid-stream, the clustering lags the write stream by at most
 // one still-open window per app plus the reorder horizon plus the
 // recluster interval.
 //
@@ -292,7 +293,7 @@ func (e *Engine) NumGroups() int {
 // and publishes it. Only connected components containing a dirty key are
 // re-run through HAC; clean components reuse their cached clusters
 // verbatim (their statistics are provably unchanged: any group touching a
-// member key marks it dirty). The result is identical to a full batch
+// member key marks it dirty). The result is identical to a full
 // Clusterer.Cluster over the same statistics.
 func (e *Engine) Recluster() []Cluster {
 	e.mu.Lock()
@@ -348,7 +349,7 @@ func (e *Engine) Recluster() []Cluster {
 	e.dirtyIDs = e.dirtyIDs[:0]
 
 	// First keys are unique across clusters (clusters partition the key
-	// universe), so this order is total and matches Dendrogram.Cut's.
+	// universe), so this order is total and matches Cluster's.
 	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Keys[0] < clusters[j].Keys[0] })
 
 	prev := e.published.Load()

@@ -87,9 +87,8 @@ func (l Linkage) storedValue(d float64) float64 {
 // merge-height grid: average-linkage heights are quantised to avgScale
 // resolution (see the avgScale comment), so the threshold must be
 // quantised identically or a pair whose distance exactly equals it would
-// fail to merge. Dendrogram.Cut and clusterComponent (the incremental
-// engine's per-component cut) share this so batch and streaming cuts can
-// never drift apart.
+// fail to merge. clusterComponent, the one cut behind both Cluster and
+// Engine.Recluster, applies it.
 func (l Linkage) cutThreshold(maxDist float64) float64 {
 	if l == LinkageAverage {
 		return math.Round(maxDist*avgScale) / avgScale
@@ -100,7 +99,7 @@ func (l Linkage) cutThreshold(maxDist float64) float64 {
 // parallelFor runs fn(i) for every i in [0, n) across at most workers
 // goroutines (<= 1 runs inline). Work is handed out by an atomic counter,
 // so output slots indexed by i are deterministic regardless of worker
-// count — the scheduling shared by component clustering in Dendrogram and
+// count — the scheduling shared by component clustering in Cluster and
 // Engine.Recluster.
 func parallelFor(n, workers int, fn func(int)) {
 	if workers > n {
@@ -130,48 +129,14 @@ func parallelFor(n, workers int, fn func(int)) {
 	wg.Wait()
 }
 
-// Merge records one agglomeration step of the dendrogram. Node identifiers
-// follow the scipy convention: leaves are 0..n-1; internal nodes are
-// numbered from n upward. Each connected component of the co-modification
-// graph is assigned a contiguous node-id range up front (k-1 ids for a
-// component of k leaves), so identifiers are stable regardless of how many
-// workers cluster components concurrently; a component whose merging stops
-// early (at infinite distance) simply leaves the tail of its range unused.
+// Merge records one agglomeration step of a component's merge tree. Node
+// identifiers follow the scipy convention: leaves keep their sorted key ids
+// 0..n-1; a component's internal nodes are numbered upward from a base id
+// at or above n, in order of non-decreasing merge height.
 type Merge struct {
 	A, B   int     // the two nodes merged
 	Node   int     // identifier of the newly created node
 	Height float64 // linkage distance at which the merge happened
-}
-
-// Dendrogram is the full merge tree produced by HAC. Because complete,
-// single, and average linkage are all monotone (merge heights never
-// decrease), cutting the dendrogram at a threshold is equivalent to
-// stopping the clustering at that threshold, so one dendrogram supports
-// arbitrarily many threshold sweeps (used by the Fig 3b bench).
-type Dendrogram struct {
-	keys    []string
-	merges  []Merge
-	linkage Linkage
-	nodes   int // total node ids reserved (leaves + per-component ranges)
-	// modCount / lastMod carry per-leaf episode statistics through to the
-	// clusters produced by Cut.
-	modCount []int
-	lastMod  []int64
-}
-
-// Keys returns the leaf keys, sorted, as indexed by leaf node identifiers.
-func (d *Dendrogram) Keys() []string {
-	out := make([]string, len(d.keys))
-	copy(out, d.keys)
-	return out
-}
-
-// Merges returns the merge sequence, ordered by component and then by
-// non-decreasing height within each component.
-func (d *Dendrogram) Merges() []Merge {
-	out := make([]Merge, len(d.merges))
-	copy(out, d.merges)
-	return out
 }
 
 // Cluster is a group of related configuration settings extracted by Ocasta.
@@ -192,62 +157,6 @@ func (c *Cluster) Size() int { return len(c.Keys) }
 func (c *Cluster) Contains(key string) bool {
 	i := sort.SearchStrings(c.Keys, key)
 	return i < len(c.Keys) && c.Keys[i] == key
-}
-
-// Cut partitions the leaves using every merge with height <= maxDist.
-// Leaves that never merged below the threshold come back as singleton
-// clusters. Clusters are returned in deterministic order (by first key).
-func (d *Dendrogram) Cut(maxDist float64) []Cluster {
-	maxDist = d.linkage.cutThreshold(maxDist)
-	n := len(d.keys)
-	size := n + len(d.merges)
-	if d.nodes > size {
-		size = d.nodes
-	}
-	parent := make([]int, size)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, m := range d.merges {
-		if m.Height > maxDist {
-			continue
-		}
-		ra, rb := find(m.A), find(m.B)
-		parent[ra] = m.Node
-		parent[rb] = m.Node
-	}
-	members := make(map[int][]int)
-	for leaf := 0; leaf < n; leaf++ {
-		root := find(leaf)
-		members[root] = append(members[root], leaf)
-	}
-	clusters := make([]Cluster, 0, len(members))
-	for _, leaves := range members {
-		c := Cluster{Keys: make([]string, 0, len(leaves))}
-		var last int64
-		for _, leaf := range leaves {
-			c.Keys = append(c.Keys, d.keys[leaf])
-			c.ModCount += d.modCount[leaf]
-			if d.lastMod[leaf] > last {
-				last = d.lastMod[leaf]
-			}
-		}
-		sort.Strings(c.Keys)
-		if last > 0 {
-			c.LastModified = time.Unix(0, last).UTC()
-		}
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Keys[0] < clusters[j].Keys[0] })
-	return clusters
 }
 
 // distStore is the inter-cluster distance state over one component's slots.
@@ -447,9 +356,9 @@ func (c *Clusterer) Linkage() Linkage { return c.linkage }
 
 // WithParallelism sets how many connected components of the co-modification
 // graph are clustered concurrently and returns the clusterer for chaining.
-// n <= 0 (the default) uses all available CPUs. The dendrogram is identical
-// at every setting: components are independent and their node-id ranges are
-// assigned up front.
+// n <= 0 (the default) uses all available CPUs. The clustering is identical
+// at every setting: components are independent and each one's clusters land
+// in a fixed output slot.
 func (c *Clusterer) WithParallelism(n int) *Clusterer {
 	c.parallelism = n
 	return c
@@ -470,58 +379,6 @@ func (c *Clusterer) workerCount() int {
 		return c.parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// componentBases reserves a contiguous internal-node-id range per component
-// (k-1 ids for k leaves) and returns the per-component base ids plus the
-// total number of node ids.
-func componentBases(n int, comps [][]int) ([]int, int) {
-	bases := make([]int, len(comps))
-	next := n
-	for i, comp := range comps {
-		bases[i] = next
-		if len(comp) > 1 {
-			next += len(comp) - 1
-		}
-	}
-	return bases, next
-}
-
-// Dendrogram computes the full merge tree of the keys in ps. Keys that were
-// never co-modified sit in different connected components of the
-// co-modification graph and are never merged (their pairwise distance is
-// infinite), so the result is in general a forest. Independent components
-// are clustered concurrently (see WithParallelism); output is deterministic
-// regardless of worker count.
-func (c *Clusterer) Dendrogram(ps *PairStats) *Dendrogram {
-	n := ps.NumKeys()
-	d := &Dendrogram{
-		keys:     ps.Keys(),
-		linkage:  c.linkage,
-		modCount: make([]int, n),
-		lastMod:  make([]int64, n),
-	}
-	ps.fillLeafStats(d.modCount, d.lastMod)
-	adj := ps.adjacency()
-	comps := ps.components(adj)
-	bases, nodes := componentBases(n, comps)
-	d.nodes = nodes
-
-	work := make([]int, 0, len(comps))
-	for i, comp := range comps {
-		if len(comp) >= 2 {
-			work = append(work, i)
-		}
-	}
-	results := make([][]Merge, len(comps))
-	parallelFor(len(work), c.workerCount(), func(t int) {
-		i := work[t]
-		results[i] = c.chainComponent(ps, comps[i], adj, bases[i])
-	})
-	for _, ms := range results {
-		d.merges = append(d.merges, ms...)
-	}
-	return d
 }
 
 // rawMerge is a merge recorded during the nearest-neighbour chain, before
@@ -642,21 +499,41 @@ func relabel(raw []rawMerge, comp []int, base int) []Merge {
 	return merges
 }
 
-// Cluster is the one-call convenience API: it builds the dendrogram and
-// cuts it at threshold (a distance; use ThresholdFromCorrelation to derive
-// it from a correlation value).
+// Cluster runs HAC over the keys in ps and cuts the merge tree at
+// threshold (a distance; use ThresholdFromCorrelation to derive it from a
+// correlation value). Keys that were never co-modified sit in different
+// connected components of the co-modification graph and can never merge
+// (their distance is infinite), so each component is clustered and cut on
+// its own, concurrently (see WithParallelism) — the same per-component
+// pass Engine.Recluster runs on its dirty components. A key that merges
+// with nothing at or below the threshold comes back as a singleton
+// cluster. The result is ordered by first key, identical at every
+// parallelism, and never nil.
 func (c *Clusterer) Cluster(ps *PairStats, threshold float64) []Cluster {
-	return c.Dendrogram(ps).Cut(threshold)
+	adj := ps.adjacency()
+	comps := ps.components(adj)
+	results := make([][]Cluster, len(comps))
+	parallelFor(len(comps), c.workerCount(), func(i int) {
+		results[i] = c.clusterComponent(ps, comps[i], adj, threshold)
+	})
+	clusters := make([]Cluster, 0, len(comps))
+	for _, r := range results {
+		clusters = append(clusters, r...)
+	}
+	// First keys are unique across clusters (clusters partition the key
+	// universe), so this order is total.
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Keys[0] < clusters[j].Keys[0] })
+	return clusters
 }
 
 // clusterComponent runs HAC on one connected component and cuts it at
 // maxDist, returning the component's clusters (unsorted; callers order
-// the combined result). It produces exactly the clusters a full
-// Dendrogram+Cut yields for the component's leaves: chainComponent gives
-// identical merges, and cutting per component is equivalent because
-// merges never cross components. This is the dirty-component fast path of
-// incremental reclustering — only components whose statistics changed pay
-// for it.
+// the combined result). Cutting per component yields exactly the clusters
+// a whole-forest cut does, because merges never cross components
+// (TestClusterMatchesDendrogramCut checks it against the reference
+// dendrogram). It serves both Cluster and Engine.Recluster's
+// dirty-component fast path — there only components whose statistics
+// changed pay for it.
 func (c *Clusterer) clusterComponent(ps *PairStats, comp []int, adj [][]int, maxDist float64) []Cluster {
 	maxDist = c.linkage.cutThreshold(maxDist)
 	k := len(comp)

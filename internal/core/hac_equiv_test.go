@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,6 +182,45 @@ func TestAverageLinkageExactThreshold(t *testing.T) {
 	} {
 		if len(clusters) != 1 || clusters[0].Size() != 2 {
 			t.Errorf("%s: got %+v, want one {a,b} cluster", name, clusters)
+		}
+	}
+}
+
+// TestClusterMatchesDendrogramCut pins Clusterer.Cluster to the
+// whole-forest reference: over random statistics (empty ones included),
+// all three linkages, both distance representations and several
+// thresholds, Cluster must return exactly — counts, timestamps, order and
+// non-nil-ness included — what cutting the chain dendrogram and the naive
+// dendrogram returns. Cluster cuts per component; this is the test that
+// checks that cut against an independent one.
+func TestClusterMatchesDendrogramCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(1711))
+	linkages := []Linkage{LinkageComplete, LinkageSingle, LinkageAverage}
+	for iter := 0; iter < 300; iter++ {
+		ps := NewPairStats(nil)
+		if iter%25 != 0 {
+			ps = NewPairStats(randomGroups(rng))
+		}
+		link := linkages[iter%3]
+		thresholds := []float64{0, DefaultThreshold, 1, math.Inf(1), 0.25 + rng.Float64()*1.75}
+		for _, mode := range []uint8{distModeDense, distModeSparse} {
+			c := NewClusterer(link).WithParallelism(1 + iter%4)
+			c.distMode = mode
+			chain, naive := c.Dendrogram(ps), c.dendrogramNaive(ps)
+			for _, th := range thresholds {
+				got := c.Cluster(ps, th)
+				if got == nil {
+					t.Fatalf("iter %d: Cluster returned nil", iter)
+				}
+				if want := chain.Cut(th); !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d link %v mode %d threshold %v: Cluster != Dendrogram.Cut\n got %+v\nwant %+v",
+						iter, link, mode, th, got, want)
+				}
+				if want := naive.Cut(th); !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d link %v mode %d threshold %v: Cluster != naive Cut\n got %+v\nwant %+v",
+						iter, link, mode, th, got, want)
+				}
+			}
 		}
 	}
 }

@@ -3,9 +3,9 @@ package core
 // pairCounter counts co-modification episodes per key pair. It is an
 // open-addressed hash table keyed by a single uint64 packing the pair's
 // two interned key ids (lo in the high word, hi in the low word, lo < hi),
-// replacing the map[pairKey]int the batch pipeline used — the hottest
-// allocation site of the whole analytics path: one map entry per distinct
-// pair plus rehash garbage on every build. The flat table costs two
+// replacing a map[pairKey]int, once the hottest allocation site of the
+// whole analytics path: one map entry per distinct pair plus rehash
+// garbage on every build. The flat table costs two
 // word-sized slices, grows geometrically, and increments with one
 // multiply-shift probe in the common case.
 //

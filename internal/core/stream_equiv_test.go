@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +12,14 @@ import (
 	"ocasta/internal/trace"
 )
 
-// This file holds the streaming-vs-batch equivalence property tests: the
-// incremental engine (StreamWindower → PairStats.Add → dirty-component
-// recluster) must produce byte-identical output to the batch pipeline
-// (Windower.GroupTrace → NewPairStats → Clusterer.Cluster) on the same
-// event set — the same contract hac_equiv_test.go enforces between the
-// chain and naive clusterers.
+// This file holds the streaming-vs-one-shot equivalence property tests:
+// the incremental engine (horizon-bounded out-of-order arrival, periodic
+// dirty-component reclusters) must produce byte-identical output to the
+// one-shot pipeline (StatsOf → Clusterer.Cluster) on the same event set —
+// the same contract hac_equiv_test.go enforces between the chain and naive
+// clusterers. The windower itself is checked against a sort-and-scan
+// reference here (TestStreamGroupsMatchBatch) and against the batch
+// oracle in package trace.
 
 var streamT0 = time.Date(2013, 9, 1, 12, 0, 0, 0, time.UTC)
 
@@ -68,36 +71,47 @@ func shuffleWithinHorizon(rng *rand.Rand, tr *trace.Trace, horizon time.Duration
 	return out
 }
 
-// batchClusters runs the paper's batch pipeline over a trace.
-func batchClusters(tr *trace.Trace, window time.Duration, mode trace.GroupMode, linkage Linkage, corrThreshold float64) ([]trace.Group, *PairStats, []Cluster) {
-	w := trace.NewWindower(window, mode)
-	groups := w.GroupTrace(tr)
-	ps := NewPairStats(groups)
-	cl := NewClusterer(linkage).Cluster(ps, ThresholdFromCorrelation(corrThreshold))
-	return groups, ps, cl
+// oneShotClusters runs the one-shot pipeline over a trace: StatsOf, or —
+// for chained mode, which StatsOf does not offer — the same time-sorted
+// push through a zero-horizon StreamWindower, then Cluster.
+func oneShotClusters(tr *trace.Trace, window time.Duration, mode trace.GroupMode, linkage Linkage, corrThreshold float64) (*PairStats, []Cluster) {
+	var ps *PairStats
+	if mode == trace.GroupAnchored {
+		ps = StatsOf(tr.Events, window)
+	} else {
+		sorted := tr.Clone()
+		sorted.SortByTime()
+		ps = NewPairStats(nil)
+		sw := trace.NewStreamWindower(window, mode, 0, func(g *trace.Group) { ps.Add(*g) })
+		for _, ev := range sorted.Events {
+			sw.Push(ev)
+		}
+		sw.Flush()
+	}
+	return ps, NewClusterer(linkage).Cluster(ps, ThresholdFromCorrelation(corrThreshold))
 }
 
-func comparePairStats(t *testing.T, tag string, tr *trace.Trace, batch, stream *PairStats) {
+func comparePairStats(t *testing.T, tag string, tr *trace.Trace, want, stream *PairStats) {
 	t.Helper()
-	if batch.NumGroups() != stream.NumGroups() {
-		t.Fatalf("%s: NumGroups batch=%d stream=%d", tag, batch.NumGroups(), stream.NumGroups())
+	if want.NumGroups() != stream.NumGroups() {
+		t.Fatalf("%s: NumGroups one-shot=%d stream=%d", tag, want.NumGroups(), stream.NumGroups())
 	}
-	bk, sk := batch.Keys(), stream.Keys()
+	bk, sk := want.Keys(), stream.Keys()
 	if !reflect.DeepEqual(bk, sk) {
-		t.Fatalf("%s: key universes differ:\n batch %v\nstream %v", tag, bk, sk)
+		t.Fatalf("%s: key universes differ:\none-shot %v\nstream %v", tag, bk, sk)
 	}
 	for _, a := range bk {
-		if be, se := batch.Episodes(a), stream.Episodes(a); be != se {
-			t.Fatalf("%s: Episodes(%s) batch=%d stream=%d", tag, a, be, se)
+		if be, se := want.Episodes(a), stream.Episodes(a); be != se {
+			t.Fatalf("%s: Episodes(%s) one-shot=%d stream=%d", tag, a, be, se)
 		}
 	}
-	if batch.NumPairs() != stream.NumPairs() {
-		t.Fatalf("%s: NumPairs batch=%d stream=%d", tag, batch.NumPairs(), stream.NumPairs())
+	if want.NumPairs() != stream.NumPairs() {
+		t.Fatalf("%s: NumPairs one-shot=%d stream=%d", tag, want.NumPairs(), stream.NumPairs())
 	}
 	for i := 0; i < len(bk); i++ {
 		for j := i + 1; j < len(bk); j++ {
-			if bc, sc := batch.CoEpisodes(bk[i], bk[j]), stream.CoEpisodes(bk[i], bk[j]); bc != sc {
-				t.Fatalf("%s: CoEpisodes(%s,%s) batch=%d stream=%d", tag, bk[i], bk[j], bc, sc)
+			if bc, sc := want.CoEpisodes(bk[i], bk[j]), stream.CoEpisodes(bk[i], bk[j]); bc != sc {
+				t.Fatalf("%s: CoEpisodes(%s,%s) one-shot=%d stream=%d", tag, bk[i], bk[j], bc, sc)
 			}
 		}
 	}
@@ -106,7 +120,7 @@ func comparePairStats(t *testing.T, tag string, tr *trace.Trace, batch, stream *
 // TestStreamBatchEquivalence is the headline property test: for random
 // traces, both group modes, in-order and horizon-bounded out-of-order
 // arrival, the streaming engine's groups, pair statistics, and clusters
-// must equal the batch pipeline's exactly. Reclustering is exercised both
+// must equal the one-shot pipeline's exactly. Reclustering is exercised both
 // incrementally (periodic mid-stream cuts marking most components clean)
 // and as one full cut from scratch.
 func TestStreamBatchEquivalence(t *testing.T) {
@@ -123,7 +137,7 @@ func TestStreamBatchEquivalence(t *testing.T) {
 		threshold := []float64{2, 1.5, 1}[trial%3]
 		window := time.Duration(trial%3) * time.Second
 
-		wantGroups, wantPS, wantClusters := batchClusters(tr, window, mode, linkage, threshold)
+		wantPS, wantClusters := oneShotClusters(tr, window, mode, linkage, threshold)
 
 		// EngineConfig expresses the zero-second window as a negative value
 		// (0 selects the default).
@@ -160,8 +174,8 @@ func TestStreamBatchEquivalence(t *testing.T) {
 		gotClusters := eng.Recluster()
 
 		tag := fmt.Sprintf("trial %d (mode=%v window=%v linkage=%v thr=%v)", trial, mode, window, linkage, threshold)
-		if eng.NumGroups() != len(wantGroups) {
-			t.Fatalf("%s: groups folded=%d batch=%d", tag, eng.NumGroups(), len(wantGroups))
+		if eng.NumGroups() != wantPS.NumGroups() {
+			t.Fatalf("%s: groups folded=%d one-shot=%d", tag, eng.NumGroups(), wantPS.NumGroups())
 		}
 		func() {
 			eng.mu.Lock()
@@ -183,28 +197,114 @@ func TestStreamBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamGroupsMatchBatch checks the group layer in isolation,
-// including App attribution and emission completeness.
+// TestStatsOfSortsACopy checks that StatsOf does not trust its input's
+// order: a fully shuffled event list must give the statistics of the same
+// events in time order, and the caller's slice must come back untouched.
+func TestStatsOfSortsACopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := streamRandomTrace(rng, 300)
+	want := StatsOf(tr.Events, time.Second)
+	shuffled := tr.Clone()
+	rng.Shuffle(len(shuffled.Events), func(i, j int) {
+		shuffled.Events[i], shuffled.Events[j] = shuffled.Events[j], shuffled.Events[i]
+	})
+	before := shuffled.Clone()
+	comparePairStats(t, "shuffled", shuffled, want, StatsOf(shuffled.Events, time.Second))
+	if !reflect.DeepEqual(shuffled.Events, before.Events) {
+		t.Fatal("StatsOf reordered its input")
+	}
+}
+
+// scanGroups is a minimal sort-and-scan windower: per application, it
+// sorts the writes by time and walks them once, closing a group when the
+// next write falls outside the window (measured from the group's first
+// write in anchored mode, from the previous write in chained mode). It is
+// the reference the streaming windower is held to in this package.
+func scanGroups(tr *trace.Trace, window time.Duration, mode trace.GroupMode) []trace.Group {
+	byApp := make(map[string][]trace.Event)
+	for _, ev := range tr.Writes() {
+		byApp[ev.App] = append(byApp[ev.App], ev)
+	}
+	var groups []trace.Group
+	for app, evs := range byApp {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		var cur trace.Group
+		seen := map[string]bool{}
+		flush := func() {
+			sort.Strings(cur.Keys)
+			groups = append(groups, cur)
+		}
+		for _, ev := range evs {
+			from := cur.Start
+			if mode == trace.GroupChained {
+				from = cur.End
+			}
+			if len(cur.Keys) == 0 || ev.Time.Sub(from) > window {
+				if len(cur.Keys) > 0 {
+					flush()
+				}
+				cur = trace.Group{Start: ev.Time, App: app}
+				seen = map[string]bool{}
+			}
+			if !seen[ev.Key] {
+				seen[ev.Key] = true
+				cur.Keys = append(cur.Keys, ev.Key)
+			}
+			cur.End = ev.Time
+		}
+		flush()
+	}
+	sortGroups(groups)
+	return groups
+}
+
+// sortGroups orders groups by (Start, App, first key), a total order for
+// the groups of one trace.
+func sortGroups(groups []trace.Group) {
+	sort.SliceStable(groups, func(i, j int) bool {
+		a, b := &groups[i], &groups[j]
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
+		}
+		if a.App != b.App {
+			return a.App < b.App
+		}
+		return a.Keys[0] < b.Keys[0]
+	})
+}
+
+// TestStreamGroupsMatchBatch checks the groups StreamWindower emits — the
+// one windower behind StatsOf and the engine — against a sort-and-scan
+// over the whole trace, for random multi-app traces with deletes, both
+// modes, in order at horizon 0 and shuffled within DefaultHorizon.
 func TestStreamGroupsMatchBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
 		tr := streamRandomTrace(rng, 60+rng.Intn(150))
 		for _, mode := range []trace.GroupMode{trace.GroupAnchored, trace.GroupChained} {
-			w := trace.NewWindower(time.Second, mode)
-			want := w.GroupTrace(tr)
-			var got []trace.Group
-			sw := trace.NewStreamWindower(time.Second, mode, 0, func(g *trace.Group) {
-				cp := *g
-				cp.Keys = append([]string(nil), g.Keys...)
-				got = append(got, cp)
-			})
-			for _, ev := range tr.Events {
-				sw.Push(ev)
-			}
-			sw.Flush()
-			trace.SortGroups(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d mode=%v: groups differ:\n got %+v\nwant %+v", trial, mode, got, want)
+			want := scanGroups(tr, time.Second, mode)
+			for _, run := range []struct {
+				tag     string
+				tr      *trace.Trace
+				horizon time.Duration
+			}{
+				{"in-order", tr, 0},
+				{"shuffled", shuffleWithinHorizon(rng, tr, trace.DefaultHorizon), trace.DefaultHorizon},
+			} {
+				var got []trace.Group
+				sw := trace.NewStreamWindower(time.Second, mode, run.horizon, func(g *trace.Group) {
+					cp := *g
+					cp.Keys = append([]string(nil), g.Keys...)
+					got = append(got, cp)
+				})
+				for _, ev := range run.tr.Events {
+					sw.Push(ev)
+				}
+				sw.Flush()
+				sortGroups(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d mode=%v %s: groups differ:\n got %+v\nwant %+v", trial, mode, run.tag, got, want)
+				}
 			}
 		}
 	}
@@ -283,7 +383,7 @@ func TestEngineDirtyReclusterMatchesFull(t *testing.T) {
 // TestEngineConcurrentObservers exercises the engine under -race: many
 // goroutines observing disjoint apps, concurrent reclusters, correlation
 // reads, and snapshot readers. Each app's events arrive in order, so the
-// final flushed clustering must still equal the batch pipeline's.
+// final flushed clustering must still equal the one-shot pipeline's.
 func TestEngineConcurrentObservers(t *testing.T) {
 	const (
 		apps          = 8
@@ -309,7 +409,7 @@ func TestEngineConcurrentObservers(t *testing.T) {
 		}
 	}
 	tr.SortByTime()
-	_, _, want := batchClusters(tr, time.Second, trace.GroupAnchored, LinkageComplete, 2)
+	_, want := oneShotClusters(tr, time.Second, trace.GroupAnchored, LinkageComplete, 2)
 
 	eng := NewEngine(EngineConfig{Threshold: 2})
 	var wg sync.WaitGroup
@@ -351,7 +451,7 @@ func TestEngineConcurrentObservers(t *testing.T) {
 	eng.Flush()
 	got := eng.Recluster()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("concurrent engine != batch:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("concurrent engine != one-shot:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"ocasta/internal/apps"
@@ -267,7 +266,7 @@ func (t *Tool) appKeysIn(r Reader) []string {
 
 // eventsIn reconstructs the application's write stream from the TTKV
 // histories (the repair tool needs only the TTKV, exactly as in the
-// paper).
+// paper), key by key; core.StatsOf puts it in time order.
 func (t *Tool) eventsIn(r Reader) []trace.Event {
 	var evs []trace.Event
 	for _, key := range t.appKeysIn(r) {
@@ -285,7 +284,6 @@ func (t *Tool) eventsIn(r Reader) []trace.Event {
 			})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	return evs
 }
 
@@ -297,10 +295,7 @@ func (t *Tool) Clusters(window time.Duration, corrThreshold float64, noClust boo
 }
 
 func (t *Tool) clustersIn(r Reader, window time.Duration, corrThreshold float64, noClust bool) []core.Cluster {
-	evs := t.eventsIn(r)
-	w := trace.NewWindower(window, trace.GroupAnchored)
-	groups := w.Groups(evs)
-	ps := core.NewPairStats(groups)
+	ps := core.StatsOf(t.eventsIn(r), window)
 	var clusters []core.Cluster
 	if noClust {
 		clusters = singletonClusters(ps)

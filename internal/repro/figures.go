@@ -142,8 +142,7 @@ func avgMultiSize(window time.Duration, corrThreshold float64) float64 {
 	totalKeys, totalClusters := 0, 0
 	for i, m := range apps.Models() {
 		res := workload.Generate(workload.StudyUsage(m, int64(100+i)))
-		w := trace.NewWindower(window, trace.GroupAnchored)
-		ps := core.NewPairStats(w.GroupTrace(res.Trace.ByApp(m.Name)))
+		ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, window)
 		clusters := core.NewClusterer(core.LinkageComplete).
 			WithParallelism(clusterParallelism()).
 			Cluster(ps, core.ThresholdFromCorrelation(corrThreshold))

@@ -93,8 +93,7 @@ type Table2Result struct {
 // over its study trace and scores it against ground truth.
 func ClusterApp(m *apps.Model, seed int64, window time.Duration, corrThreshold float64) core.Report {
 	res := workload.Generate(workload.StudyUsage(m, seed))
-	w := trace.NewWindower(window, trace.GroupAnchored)
-	ps := core.NewPairStats(w.GroupTrace(res.Trace.ByApp(m.Name)))
+	ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, window)
 	clusters := core.NewClusterer(core.LinkageComplete).
 		WithParallelism(clusterParallelism()).
 		Cluster(ps, core.ThresholdFromCorrelation(corrThreshold))

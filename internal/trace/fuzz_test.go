@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -101,6 +104,65 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if len(tr.Events) > 0 && !reflect.DeepEqual(tr2.Events, tr.Events) {
 			t.Fatalf("roundtrip altered events:\n%+v\nvs\n%+v", tr2.Events, tr.Events)
+		}
+	})
+}
+
+// fuzzWindows are the window sizes FuzzStreamWindower picks from: zero,
+// sub-second, the paper's default, and wider than the reorder horizon.
+var fuzzWindows = []time.Duration{0, 500 * time.Millisecond, time.Second, 3 * time.Second}
+
+// decodeFuzzEvents turns fuzz bytes into windowing parameters and an event
+// list. data[0] picks the window, data[1]'s low bit the mode; each
+// following 4-byte record is one event: a time offset in 100 ms steps
+// (0–25.5 s, unsorted), a key, an application and an op (writes, deletes
+// and reads).
+func decodeFuzzEvents(data []byte) (time.Duration, GroupMode, []Event) {
+	if len(data) < 2 {
+		return time.Second, GroupAnchored, nil
+	}
+	window := fuzzWindows[int(data[0])%len(fuzzWindows)]
+	mode := GroupAnchored
+	if data[1]&1 == 1 {
+		mode = GroupChained
+	}
+	apps := []string{"alpha", "beta", "gamma"}
+	ops := []Op{OpWrite, OpWrite, OpDelete, OpRead}
+	var evs []Event
+	for rec := data[2:]; len(rec) >= 4; rec = rec[4:] {
+		evs = append(evs, Event{
+			Time: t0.Add(time.Duration(rec[0]) * 100 * time.Millisecond),
+			Op:   ops[rec[3]%4],
+			App:  apps[rec[2]%3],
+			Key:  fmt.Sprintf("k%d", rec[1]%8),
+		})
+	}
+	return window, mode, evs
+}
+
+// FuzzStreamWindower holds the shipped windower to the batch oracle on
+// arbitrary event lists: the oracle's groups for the time-sorted list must
+// equal StreamWindower's (after SortGroups) both when the sorted list is
+// pushed with a zero horizon — what core.StatsOf does — and when a
+// shuffle that keeps every event within the default horizon of its sorted
+// position is pushed with the default horizon — what the live engine sees.
+func FuzzStreamWindower(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0})
+	f.Add([]byte{0, 1, 5, 1, 0, 0, 5, 2, 1, 0, 5, 3, 2, 3, 6, 1, 0, 2})
+	f.Add([]byte{3, 1, 30, 1, 0, 0, 20, 2, 0, 0, 10, 3, 0, 0, 0, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		window, mode, evs := decodeFuzzEvents(data)
+		sorted := &Trace{Events: evs}
+		sorted.SortByTime()
+		want := NewWindower(window, mode).GroupTrace(sorted)
+
+		if got := collectStream(sorted, window, mode, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sorted, horizon 0 (window %v, %v):\n got %+v\nwant %+v", window, mode, got, want)
+		}
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		shuffled := shuffleWithin(rng, sorted, DefaultHorizon)
+		if got := collectStream(shuffled, window, mode, DefaultHorizon); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffled, default horizon (window %v, %v):\n got %+v\nwant %+v", window, mode, got, want)
 		}
 	})
 }

@@ -9,26 +9,29 @@ import (
 
 // DefaultHorizon is the default reorder horizon of a StreamWindower: how
 // far out of chronological order (per application) pushed events may
-// arrive and still be grouped exactly as a batch sort would group them.
+// arrive and still be grouped exactly as if they had arrived sorted.
 const DefaultHorizon = 2 * time.Second
 
-// StreamWindower is the push-based counterpart of Windower: it accepts
-// events one at a time and emits co-modification groups incrementally, so
-// a live write stream can feed the clustering engine without ever
-// materialising (or re-sorting) the full trace.
+// StreamWindower slices a write stream into co-modification groups. It
+// accepts events one at a time and emits groups incrementally, so a live
+// write stream can feed the clustering engine without ever materialising
+// (or re-sorting) the full trace; core.StatsOf pushes a sorted recorded
+// trace through it with a zero horizon. It is the library's only
+// windower.
 //
-// Events from different applications are windowed independently, exactly
-// like Windower.GroupTrace. Within one application, events may arrive up
-// to the reorder horizon out of chronological order: each application
-// keeps a small buffer ordered by (time, arrival), and an event is only
-// windowed once the application's high-water mark has moved past it by
-// the horizon. As long as per-app disorder stays within the horizon, the
-// emitted groups are exactly the groups the batch pipeline computes from
-// the same event set (see TestStreamBatchEquivalence).
+// Events from different applications are windowed independently, so two
+// applications flushing settings in the same second do not appear
+// co-modified. Within one application, events may arrive up to the
+// reorder horizon out of chronological order: each application keeps a
+// small buffer ordered by (time, arrival), and an event is only windowed
+// once the application's high-water mark has moved past it by the
+// horizon. As long as per-app disorder stays within the horizon, the
+// emitted groups are exactly the groups of the same events pushed in
+// time order (the tests check this against a batch sort-and-scan oracle).
 //
 // A group is emitted as soon as an event proves its window closed (or on
-// Flush/AdvanceTo). Emission order therefore follows group *close* time;
-// collect and SortGroups to compare against Windower.GroupTrace output.
+// Flush/AdvanceTo). Emission order therefore follows group *close* time,
+// not start time.
 //
 // The Group passed to the emit callback borrows internal buffers: it is
 // valid only for the duration of the call, and its Keys slice is reused
@@ -112,9 +115,11 @@ func (h *pendHeap) Pop() any {
 	return ev
 }
 
-// NewStreamWindower returns a streaming windower. Window and mode behave
-// exactly as in NewWindower; horizon < 0 selects DefaultHorizon (0 is a
-// valid choice: events must then arrive per-app chronologically). Emit is
+// NewStreamWindower returns a streaming windower. A negative window is
+// treated as zero (writes group only when they carry an identical
+// timestamp, the paper's "zero seconds" configuration) and an unknown mode
+// as GroupAnchored; horizon < 0 selects DefaultHorizon (0 is a valid
+// choice: events must then arrive per-app chronologically). Emit is
 // called once per closed group and must be non-nil; the *Group argument
 // is only valid during the call.
 func NewStreamWindower(window time.Duration, mode GroupMode, horizon time.Duration, emit func(*Group)) *StreamWindower {
@@ -159,7 +164,7 @@ func (s *StreamWindower) Pending() int {
 }
 
 // Push feeds one event into the stream. Non-modification events (reads)
-// are ignored, mirroring the batch pipeline's Writes() filter. Push may
+// are ignored, as in Trace.Writes. Push may
 // synchronously emit zero or more groups whose windows the event proves
 // closed.
 func (s *StreamWindower) Push(ev Event) {
@@ -203,8 +208,10 @@ func (s *StreamWindower) drain(as *appStream, due int64) {
 	}
 }
 
-// process applies one in-order event to the application's open group,
-// replicating Windower.Groups' boundary logic exactly.
+// process applies one in-order event to the application's open group: the
+// event joins it if it lies within the window of the group's anchor
+// (anchored mode) or of its previous write (chained mode); otherwise the
+// group closes and the event anchors a new one.
 func (s *StreamWindower) process(as *appStream, t time.Time, key string) {
 	if !as.open {
 		as.open = true
@@ -236,7 +243,7 @@ func (s *StreamWindower) close(as *appStream) {
 	}
 	sort.Strings(as.keys)
 	// In-place dedup: a key written several times in one window is one
-	// logical modification, as in the batch windower's set semantics.
+	// logical modification.
 	w := 1
 	for i := 1; i < len(as.keys); i++ {
 		if as.keys[i] != as.keys[i-1] {
@@ -271,9 +278,8 @@ func (s *StreamWindower) AdvanceTo(t time.Time) {
 		// A future event carries time >= due (the watermark rules out
 		// strictly-earlier arrivals only). The open group can still grow
 		// iff such a time can fall within the window, i.e. while
-		// due <= boundary: the boundary event itself is within (the batch
-		// windower's comparison is <=), so closing requires strictly
-		// passing it.
+		// due <= boundary: the boundary event itself is within (process
+		// compares with <=), so closing requires strictly passing it.
 		var closed bool
 		switch s.mode {
 		case GroupChained:

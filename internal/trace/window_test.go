@@ -1,17 +1,66 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// The cases in this file pin windowing edge cases on the batch oracle
+// (oracle_test.go) and check that StreamWindower, the windower that ships,
+// emits exactly the oracle's groups for each of them.
+
+// streamMismatch feeds writes in time order — as core.StatsOf feeds them —
+// to a StreamWindower with a zero and with the default reorder horizon,
+// and describes the first run whose groups differ from want ("" if none).
+func streamMismatch(writes []Event, window time.Duration, mode GroupMode, want []Group) string {
+	sorted := (&Trace{Events: writes}).Clone()
+	sorted.SortByTime()
+	for _, horizon := range []time.Duration{0, DefaultHorizon} {
+		if got := collectStream(sorted, window, mode, horizon); !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("stream (horizon %v) = %+v, oracle = %+v", horizon, got, want)
+		}
+	}
+	return ""
+}
+
+// checkStream fails t when streamMismatch finds a difference.
+func checkStream(t *testing.T, writes []Event, window time.Duration, mode GroupMode, want []Group) {
+	t.Helper()
+	if diff := streamMismatch(writes, window, mode, want); diff != "" {
+		t.Error(diff)
+	}
+}
+
+// checkOneStream is checkStream for Windower.Groups output. Groups windows
+// its input as one stream whatever application each event names, while
+// StreamWindower windows each application on its own, so App is cleared
+// on copies of both sides — the way ocasta.ClusterEvents feeds
+// core.StatsOf.
+func checkOneStream(t *testing.T, writes []Event, window time.Duration, mode GroupMode, want []Group) {
+	t.Helper()
+	var evs []Event
+	for _, e := range writes {
+		e.App = ""
+		evs = append(evs, e)
+	}
+	var gs []Group
+	for _, g := range want {
+		g.App = ""
+		gs = append(gs, g)
+	}
+	checkStream(t, evs, window, mode, gs)
+}
 
 func TestWindowerEmpty(t *testing.T) {
 	w := NewWindower(time.Second, GroupAnchored)
 	if got := w.Groups(nil); got != nil {
 		t.Errorf("Groups(nil) = %v, want nil", got)
 	}
+	checkOneStream(t, nil, time.Second, GroupAnchored, nil)
 }
 
 func TestWindowerDefaults(t *testing.T) {
@@ -22,6 +71,14 @@ func TestWindowerDefaults(t *testing.T) {
 	if w.Mode() != GroupAnchored {
 		t.Errorf("invalid mode should default to anchored, got %v", w.Mode())
 	}
+	sw := NewStreamWindower(-5*time.Second, GroupMode(0), -1, func(*Group) {})
+	if sw.Window() != 0 || sw.Mode() != GroupAnchored || sw.Horizon() != DefaultHorizon {
+		t.Errorf("stream defaults: window %v mode %v horizon %v, want 0 anchored %v",
+			sw.Window(), sw.Mode(), sw.Horizon(), DefaultHorizon)
+	}
+	// A clamped window groups exactly like the zero window.
+	writes := []Event{ev(0, OpWrite, "a"), ev(0, OpWrite, "b"), ev(1, OpWrite, "c")}
+	checkOneStream(t, writes, -5*time.Second, GroupMode(0), w.Groups(writes))
 }
 
 func TestGroupModeString(t *testing.T) {
@@ -42,6 +99,7 @@ func TestAnchoredGrouping(t *testing.T) {
 		{Time: t0.Add(1500 * time.Millisecond), Op: OpWrite, Key: "d"},
 	}
 	groups := NewWindower(time.Second, GroupAnchored).Groups(writes)
+	checkOneStream(t, writes, time.Second, GroupAnchored, groups)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2: %+v", len(groups), groups)
 	}
@@ -62,6 +120,7 @@ func TestChainedGrouping(t *testing.T) {
 		{Time: t0.Add(5 * time.Second), Op: OpWrite, Key: "d"},
 	}
 	groups := NewWindower(time.Second, GroupChained).Groups(writes)
+	checkOneStream(t, writes, time.Second, GroupChained, groups)
 	if len(groups) != 2 {
 		t.Fatalf("chained: got %d groups, want 2: %+v", len(groups), groups)
 	}
@@ -77,6 +136,8 @@ func TestZeroWindowGroupsByIdenticalTimestamp(t *testing.T) {
 		ev(1, OpWrite, "c"),
 	}
 	groups := NewWindower(0, GroupAnchored).Groups(writes)
+	checkOneStream(t, writes, 0, GroupAnchored, groups)
+	checkOneStream(t, writes, 0, GroupChained, groups)
 	if len(groups) != 2 {
 		t.Fatalf("zero window: got %d groups, want 2", len(groups))
 	}
@@ -88,6 +149,7 @@ func TestZeroWindowGroupsByIdenticalTimestamp(t *testing.T) {
 func TestDuplicateKeyInGroupDedup(t *testing.T) {
 	writes := []Event{ev(0, OpWrite, "a"), ev(0, OpWrite, "a"), ev(0, OpWrite, "b")}
 	groups := NewWindower(time.Second, GroupAnchored).Groups(writes)
+	checkOneStream(t, writes, time.Second, GroupAnchored, groups)
 	if len(groups) != 1 || len(groups[0].Keys) != 2 {
 		t.Fatalf("got %+v, want one group with keys [a b]", groups)
 	}
@@ -107,6 +169,7 @@ func TestGroupTraceSeparatesApps(t *testing.T) {
 		{Time: t0, Op: OpWrite, App: "acrobat", Key: "a1"},
 	}}
 	groups := NewWindower(time.Second, GroupAnchored).GroupTrace(tr)
+	checkStream(t, tr.Events, time.Second, GroupAnchored, groups)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2 (one per app)", len(groups))
 	}
@@ -120,6 +183,7 @@ func TestGroupTraceSeparatesApps(t *testing.T) {
 func TestUnsortedInputHandled(t *testing.T) {
 	writes := []Event{ev(10, OpWrite, "late"), ev(0, OpWrite, "early")}
 	groups := NewWindower(time.Second, GroupAnchored).Groups(writes)
+	checkOneStream(t, writes, time.Second, GroupAnchored, groups)
 	if len(groups) != 2 || groups[0].Keys[0] != "early" {
 		t.Fatalf("unsorted input mishandled: %+v", groups)
 	}
@@ -149,6 +213,9 @@ func TestGroupsPartitionProperty(t *testing.T) {
 		}
 		window := time.Duration(1+rng.Intn(30)) * time.Second
 		groups := NewWindower(window, GroupAnchored).Groups(writes)
+		if streamMismatch(writes, window, GroupAnchored, groups) != "" {
+			return false
+		}
 		seen := 0
 		for _, g := range groups {
 			if g.End.Sub(g.Start) > window {
@@ -175,6 +242,9 @@ func TestGroupsOrderedProperty(t *testing.T) {
 			writes[i] = Event{Time: t0.Add(time.Duration(off) * time.Second), Op: OpWrite, Key: "k"}
 		}
 		groups := NewWindower(5*time.Second, GroupAnchored).Groups(writes)
+		if streamMismatch(writes, 5*time.Second, GroupAnchored, groups) != "" {
+			return false
+		}
 		for i := 1; i < len(groups); i++ {
 			if !groups[i].Start.After(groups[i-1].Start) {
 				return false

@@ -50,9 +50,7 @@ func TestGroupsAlwaysCoWritten(t *testing.T) {
 	// under the default 1-second window in every episode.
 	m := apps.Outlook()
 	res := Generate(StudyUsage(m, 99))
-	w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-	groups := w.GroupTrace(res.Trace.ByApp(m.Name))
-	ps := core.NewPairStats(groups)
+	ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, trace.DefaultWindow)
 	// The nav pane pair must have correlation exactly 2.
 	if corr := ps.KeyCorrelation(apps.KeyOutlookNavPane, apps.KeyOutlookNavWidth); corr != 2 {
 		t.Errorf("navpane correlation = %v, want 2", corr)
@@ -62,8 +60,7 @@ func TestGroupsAlwaysCoWritten(t *testing.T) {
 func TestDominantKeySplitsFromItems(t *testing.T) {
 	m := apps.Word()
 	res := Generate(StudyUsage(m, 5))
-	w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-	ps := core.NewPairStats(w.GroupTrace(res.Trace.ByApp(m.Name)))
+	ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, trace.DefaultWindow)
 	// Items are always co-written: corr = 2.
 	if corr := ps.KeyCorrelation(apps.WordItemKey(1), apps.WordItemKey(2)); corr != 2 {
 		t.Errorf("item-item correlation = %v, want 2", corr)
@@ -79,8 +76,7 @@ func TestDominantKeySplitsFromItems(t *testing.T) {
 func TestBundleGroupsShareSeconds(t *testing.T) {
 	m := apps.GEdit() // one bundle of two 2-key groups
 	res := Generate(StudyUsage(m, 13))
-	w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-	ps := core.NewPairStats(w.GroupTrace(res.Trace.ByApp(m.Name)))
+	ps := core.StatsOf(res.Trace.ByApp(m.Name).Events, trace.DefaultWindow)
 	var bundleKeys []string
 	for i := range m.Groups {
 		if m.Groups[i].Bundle != 0 {
@@ -114,11 +110,12 @@ func TestFillerKeysNeverPair(t *testing.T) {
 		Fill: Filler{Keys: 50, WritesPerDay: 40, ScansPerDay: 1, PathPrefix: `HKCU\Software\F`},
 	}
 	res := Generate(p)
-	w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-	for _, g := range w.GroupTrace(res.Trace) {
-		if len(g.Keys) > 1 {
-			t.Fatalf("filler keys grouped together: %v", g.Keys)
-		}
+	ps := core.StatsOf(res.Trace.Events, trace.DefaultWindow)
+	if ps.NumGroups() == 0 {
+		t.Fatal("filler wrote nothing")
+	}
+	if n := ps.NumPairs(); n != 0 {
+		t.Fatalf("filler keys grouped together: %d co-modified pairs", n)
 	}
 }
 

@@ -26,6 +26,7 @@
 package ocasta
 
 import (
+	"slices"
 	"time"
 
 	"ocasta/internal/core"
@@ -70,8 +71,9 @@ type (
 type (
 	// Engine is the streaming analytics engine: push events (or attach it
 	// to a Store with SetStatsObserver), recluster periodically, read the
-	// published clusters. Its output is byte-identical to the batch
-	// pipeline over the same events, with bounded staleness.
+	// published clusters. Its output is byte-identical to one-shot
+	// clustering of the same events (core.StatsOf + Cluster, each
+	// application windowed on its own), with bounded staleness.
 	Engine = core.Engine
 	// EngineConfig tunes an Engine; the zero value selects the paper's
 	// defaults.
@@ -143,12 +145,16 @@ func (c Config) normalized() Config {
 }
 
 // ClusterEvents extracts clusters of related configuration settings from a
-// write/delete event stream (events of other operations are ignored).
+// write/delete event stream (events of other operations are ignored). The
+// whole stream is windowed as one, whatever application each event names:
+// use ClusterTrace to window one application's writes on their own.
 func ClusterEvents(events []Event, cfg Config) []Cluster {
 	cfg = cfg.normalized()
-	tr := &Trace{Events: events}
-	w := trace.NewWindower(cfg.Window, trace.GroupAnchored)
-	ps := core.NewPairStats(w.Groups(tr.Writes()))
+	oneStream := slices.Clone(events)
+	for i := range oneStream {
+		oneStream[i].App = ""
+	}
+	ps := core.StatsOf(oneStream, cfg.Window)
 	return core.NewClusterer(cfg.Linkage).
 		WithParallelism(cfg.Parallelism).
 		Cluster(ps, core.ThresholdFromCorrelation(cfg.Threshold))
@@ -168,9 +174,7 @@ func Correlation(co, a, b int) float64 { return core.Correlation(co, a, b) }
 // PairStatsOf computes co-modification statistics for an application's
 // write stream under cfg's window.
 func PairStatsOf(tr *Trace, app string, cfg Config) *PairStats {
-	cfg = cfg.normalized()
-	w := trace.NewWindower(cfg.Window, trace.GroupAnchored)
-	return core.NewPairStats(w.GroupTrace(tr.ByApp(app)))
+	return core.StatsOf(tr.ByApp(app).Events, cfg.normalized().Window)
 }
 
 // NewGroundTruth builds a reference partition from groups of related

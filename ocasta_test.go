@@ -36,6 +36,32 @@ func TestClusterEventsFacade(t *testing.T) {
 	}
 }
 
+// TestClusterEventsWindowsAllAppsAsOneStream documents that ClusterEvents
+// windows its whole input as one write stream: two applications writing
+// in the same second are co-modified, unlike ClusterTrace, which windows
+// one application's writes on their own.
+func TestClusterEventsWindowsAllAppsAsOneStream(t *testing.T) {
+	tr := &Trace{Name: "two-apps"}
+	for i := 0; i < 3; i++ {
+		ts := t0.Add(time.Duration(i) * time.Hour)
+		tr.Events = append(tr.Events,
+			Event{Time: ts.Add(400 * time.Millisecond), Op: OpWrite, Store: StoreGConf, App: "viewer", Key: "/viewer/zoom"},
+			Event{Time: ts, Op: OpWrite, Store: StoreGConf, App: "editor", Key: "/editor/font"},
+		)
+	}
+	want := []Cluster{{
+		Keys:         []string{"/editor/font", "/viewer/zoom"},
+		ModCount:     6,
+		LastModified: t0.Add(2*time.Hour + 400*time.Millisecond),
+	}}
+	if got := ClusterEvents(tr.Events, Config{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ClusterEvents = %+v, want %+v", got, want)
+	}
+	if got := ClusterTrace(tr, "editor", Config{}); len(got) != 1 || got[0].Size() != 1 {
+		t.Fatalf("ClusterTrace(editor) = %+v, want the lone editor key", got)
+	}
+}
+
 func TestClusterTraceAndEvaluate(t *testing.T) {
 	tr := &Trace{Name: "m"}
 	for i := 0; i < 2; i++ {

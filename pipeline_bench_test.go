@@ -1,8 +1,8 @@
 package ocasta
 
-// Streaming-analytics benchmarks: the batch trace pipeline versus the
-// incremental engine on identical event sets, and dirty-component
-// reclustering versus a full HAC pass. Measured results are recorded in
+// Streaming-analytics benchmarks: the one-shot pipeline over a decoded
+// trace versus the incremental engine on identical event sets, and
+// dirty-component reclustering versus a full HAC pass. Measured results are recorded in
 // BENCH_pipeline.json (format documented in README.md).
 
 import (
@@ -40,16 +40,17 @@ func encodePipelineTrace(b *testing.B) []byte {
 }
 
 // BenchmarkPipelineEndToEnd runs decode→window→stats→cluster over the
-// 1M-event trace, batch versus streaming. The batch side is the public
-// pipeline (ReadBinary, Windower.GroupTrace, NewPairStats, Cluster); the
-// streaming side is the incremental engine fed event-by-event from the
-// streaming decoder. Outputs are identical (property-tested in
+// 1M-event trace, one-shot versus streaming. The one-shot side decodes the
+// whole trace and clusters it in one call (ReadBinary, StatsOf, Cluster);
+// the streaming side is the incremental engine fed event-by-event from the
+// streaming decoder. Both run the same windower and the same
+// per-component HAC, and their outputs are identical (property-tested in
 // internal/core); only the cost differs.
 func BenchmarkPipelineEndToEnd(b *testing.B) {
 	encoded := encodePipelineTrace(b)
 	events := pipelineSpec.Events()
 
-	b.Run("batch", func(b *testing.B) {
+	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		var clusters int
 		for i := 0; i < b.N; i++ {
@@ -57,8 +58,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-			ps := core.NewPairStats(w.GroupTrace(tr))
+			ps := core.StatsOf(tr.Events, trace.DefaultWindow)
 			clusters = len(core.NewClusterer(core.LinkageComplete).Cluster(ps, core.DefaultThreshold))
 		}
 		if clusters == 0 {
@@ -138,8 +138,7 @@ func BenchmarkReclusterDirty(b *testing.B) {
 	})
 
 	b.Run("full", func(b *testing.B) {
-		w := trace.NewWindower(trace.DefaultWindow, trace.GroupAnchored)
-		ps := core.NewPairStats(w.GroupTrace(baseTrace))
+		ps := core.StatsOf(baseTrace.Events, trace.DefaultWindow)
 		clusterer := core.NewClusterer(core.LinkageComplete)
 		if len(clusterer.Cluster(ps, core.DefaultThreshold)) == 0 {
 			b.Fatal("empty base clustering")
@@ -148,9 +147,7 @@ func BenchmarkReclusterDirty(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			update := workload.DirtyEpisodes(reclusterSpec, dirtyComponents, episodesPerUpdate, i)
-			for _, g := range w.GroupTrace(update) {
-				ps.Add(g)
-			}
+			ps.Merge(core.StatsOf(update.Events, trace.DefaultWindow))
 			if len(clusterer.Cluster(ps, core.DefaultThreshold)) == 0 {
 				b.Fatal("empty clustering")
 			}
